@@ -137,12 +137,12 @@ func runBench(argv []string) error {
 	// host's default. Shorter budget: these guard relative drift per
 	// tier, while the simulate_nets lane above owns the headline number.
 	lanes := append([]string(nil), benchLanes...)
-	defaultKernel := rtlpower.SelectedKernel()
+	if err := setBenchtime("1s"); err != nil {
+		return err
+	}
 	for _, k := range rtlpower.SupportedKernels() {
-		if err := rtlpower.SetKernel(k.String()); err != nil {
-			return err
-		}
-		if err := setBenchtime("1s"); err != nil {
+		ek, err := est.WithKernel(k)
+		if err != nil {
 			return err
 		}
 		lane := "simulate_nets_" + k.String()
@@ -150,14 +150,11 @@ func runBench(argv []string) error {
 		current[lane] = toEntry(testing.Benchmark(func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := est.EstimateTrace(res.Trace); err != nil {
+				if _, err := ek.EstimateTrace(res.Trace); err != nil {
 					b.Fatal(err)
 				}
 			}
 		}))
-	}
-	if err := rtlpower.SetKernel(defaultKernel.String()); err != nil {
-		return err
 	}
 	if err := setBenchtime("3s"); err != nil {
 		return err

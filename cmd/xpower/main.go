@@ -24,7 +24,6 @@ import (
 	"syscall"
 	"time"
 
-	"xtenergy/internal/rtlpower"
 	"xtenergy/internal/workloads"
 	"xtenergy/internal/xpowerd"
 )
@@ -44,13 +43,7 @@ func run() error {
 	jobs := flag.Int("j", 1, "net-simulation shards per chunk (>1 spreads the jump-ahead lane walks over goroutines; bit-identical)")
 	remote := flag.String("remote", "", "send the request to a running xpowerd at this address (host:port or unix:<path>)")
 	noCache := flag.Bool("no-cache", false, "bypass the content-addressed artifact cache: always re-run the pipeline, read and write nothing")
-	kernel := flag.String("kernel", "", "force a net-simulation walker tier (portable, sse2, avx2, avx512, neon); default: widest supported, or $"+rtlpower.EnvKernel)
 	flag.Parse()
-
-	if err := rtlpower.ApplyKernelFlag(*kernel); err != nil {
-		fmt.Fprintln(os.Stderr, "xpower:", err)
-		os.Exit(2)
-	}
 
 	if *list {
 		for _, w := range workloads.All() {

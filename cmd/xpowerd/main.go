@@ -29,7 +29,6 @@ import (
 	"time"
 
 	"xtenergy/internal/engine"
-	"xtenergy/internal/rtlpower"
 	"xtenergy/internal/xpowerd"
 )
 
@@ -45,14 +44,6 @@ func main() {
 	memoDir := flag.String("memo-dir", "", "artifact-cache directory (empty = $XTENERGY_MEMO_DIR or the user cache dir; \"off\" = memory-only)")
 	quiet := flag.Bool("quiet", false, "suppress operational logging")
 	flag.Parse()
-
-	// The daemon honors the XTENERGY_KERNEL tier override; refusing to
-	// start beats silently serving estimates on a different tier than
-	// the operator pinned.
-	if err := rtlpower.EnvKernelError(); err != nil {
-		fmt.Fprintln(os.Stderr, "xpowerd:", err)
-		os.Exit(2)
-	}
 
 	logger := log.New(os.Stderr, "", log.LstdFlags)
 	logf := logger.Printf

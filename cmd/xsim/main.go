@@ -31,7 +31,6 @@ import (
 	"xtenergy/internal/isa"
 	"xtenergy/internal/iss"
 	"xtenergy/internal/procgen"
-	"xtenergy/internal/rtlpower"
 	"xtenergy/internal/workloads"
 	"xtenergy/internal/xpowerd"
 )
@@ -68,13 +67,7 @@ func run() error {
 	timeout := flag.Duration("timeout", 0, "abort the run after this wall-clock deadline (0 = none)")
 	maxCycles := flag.Uint64("maxcycles", 0, "watchdog cycle limit (0 = default)")
 	noCache := flag.Bool("no-cache", false, "bypass the content-addressed artifact cache: always re-run the simulator")
-	kernel := flag.String("kernel", "", "force a net-simulation walker tier (portable, sse2, avx2, avx512, neon); default: widest supported, or $"+rtlpower.EnvKernel)
 	flag.Parse()
-
-	if err := rtlpower.ApplyKernelFlag(*kernel); err != nil {
-		fmt.Fprintln(os.Stderr, "xsim:", err)
-		os.Exit(2)
-	}
 
 	cfg := procgen.Default()
 

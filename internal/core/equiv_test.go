@@ -19,6 +19,7 @@ package core_test
 // runs; the full registry runs otherwise.
 
 import (
+	"context"
 	"encoding/binary"
 	"encoding/json"
 	"flag"
@@ -28,6 +29,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"xtenergy/internal/core"
@@ -55,12 +57,12 @@ type equivGolden struct {
 	EnergyBits string `json:"energy_bits"`
 }
 
-// hashingConsumer digests the trace stream while forwarding it to the
-// real stream estimator, so one run yields both the trace digest and the
-// reference energy.
+// hashingConsumer digests the trace stream while forwarding it to one
+// real stream estimator per walker tier the host runs, so one run
+// yields the trace digest and every tier's reference energy.
 type hashingConsumer struct {
-	h  hash.Hash64
-	st *rtlpower.StreamEstimator
+	h   hash.Hash64
+	sts []*rtlpower.StreamEstimator
 }
 
 func (c *hashingConsumer) Consume(batch []iss.TraceEntry) error {
@@ -86,11 +88,18 @@ func (c *hashingConsumer) Consume(batch []iss.TraceEntry) error {
 		binary.LittleEndian.PutUint32(buf[30:], te.Addr)
 		c.h.Write(buf[:34])
 	}
-	return c.st.Consume(batch)
+	for _, st := range c.sts {
+		if err := st.Consume(batch); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // measureEquiv runs one workload through the streamed pipeline and
-// digests everything observable about the run.
+// digests everything observable about the run. Every supported walker
+// tier prices the same trace and must report exactly what the first
+// (portable) tier does, so the energy golden covers them all.
 func measureEquiv(t *testing.T, w core.Workload) equivGolden {
 	t.Helper()
 	cfg := procgen.Default()
@@ -102,14 +111,32 @@ func measureEquiv(t *testing.T, w core.Workload) equivGolden {
 	if err != nil {
 		t.Fatalf("estimator: %v", err)
 	}
-	hc := &hashingConsumer{h: fnv.New64a(), st: est.Stream()}
-	res, err := rtlpower.RunStreamed(t.Context(), iss.New(proc), prog, iss.Options{}, hc)
+	tiers := rtlpower.SupportedKernels()
+	hc := &hashingConsumer{h: fnv.New64a()}
+	for _, k := range tiers {
+		ek, err := est.WithKernel(k)
+		if err != nil {
+			t.Fatalf("estimator on %s: %v", k, err)
+		}
+		hc.sts = append(hc.sts, ek.Stream())
+	}
+	res, err := rtlpower.RunStreamed(context.Background(), iss.New(proc), prog, iss.Options{}, hc)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	rep, err := hc.st.Finish()
-	if err != nil {
-		t.Fatalf("finish: %v", err)
+	var rep rtlpower.Report
+	for i, st := range hc.sts {
+		r, err := st.Finish()
+		if err != nil {
+			t.Fatalf("finish on %s: %v", tiers[i], err)
+		}
+		if i == 0 {
+			rep = r
+			continue
+		}
+		if !reflect.DeepEqual(r, rep) {
+			t.Errorf("%s report differs from %s:\n got %+v\nwant %+v", tiers[i], tiers[0], r, rep)
+		}
 	}
 
 	sh := fnv.New64a()
@@ -161,7 +188,8 @@ func equivWorkloads(t *testing.T) []core.Workload {
 // TestPlanEquivalence holds the plan-path execution to the recorded
 // behavior of the original per-step decode path, over the whole workload
 // registry: traces, stats, final registers, and streamed reference
-// energies must be bit-identical.
+// energies — on every walker tier the host runs — must be
+// bit-identical.
 func TestPlanEquivalence(t *testing.T) {
 	ws := equivWorkloads(t)
 

@@ -22,25 +22,3 @@ var (
 	// NEON reports AArch64 Advanced SIMD.
 	NEON bool
 )
-
-// Summary returns a short human-readable feature list, e.g. for logs
-// and health output.
-func Summary() string {
-	s := ""
-	add := func(on bool, name string) {
-		if !on {
-			return
-		}
-		if s != "" {
-			s += "+"
-		}
-		s += name
-	}
-	add(AVX2, "avx2")
-	add(AVX512, "avx512")
-	add(NEON, "neon")
-	if s == "" {
-		s = "baseline"
-	}
-	return s
-}

@@ -8,7 +8,7 @@ import (
 // TestFlagsMatchArch checks the flags are internally consistent with
 // the architecture they were detected on: no cross-ISA leakage.
 func TestFlagsMatchArch(t *testing.T) {
-	t.Logf("GOARCH=%s features=%s", runtime.GOARCH, Summary())
+	t.Logf("GOARCH=%s avx2=%v avx512=%v neon=%v", runtime.GOARCH, AVX2, AVX512, NEON)
 	switch runtime.GOARCH {
 	case "amd64":
 		if NEON {
@@ -22,8 +22,5 @@ func TestFlagsMatchArch(t *testing.T) {
 		if AVX2 || AVX512 || NEON {
 			t.Errorf("SIMD features reported on %s", runtime.GOARCH)
 		}
-	}
-	if Summary() == "" {
-		t.Error("empty Summary")
 	}
 }

@@ -69,6 +69,9 @@ type Estimator struct {
 	// streaming passes is safe because an Estimator is documented as
 	// not safe for concurrent use.
 	desc []descEntry
+	// kernel is the walker tier its streams count toggles on:
+	// SelectedKernel unless pinned by WithKernel.
+	kernel Kernel
 }
 
 // descEntry is one slot of the Describe cache; used distinguishes an
@@ -100,7 +103,7 @@ func New(proc *procgen.Processor, tech Technology) (*Estimator, error) {
 	if err := tech.Validate(); err != nil {
 		return nil, err
 	}
-	e := &Estimator{proc: proc, tech: tech}
+	e := &Estimator{proc: proc, tech: tech, kernel: SelectedKernel()}
 	for k := range e.kindIdx {
 		e.kindIdx[k] = -1
 	}

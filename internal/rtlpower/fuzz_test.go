@@ -49,8 +49,8 @@ func FuzzKernelDifferential(f *testing.F) {
 
 		for _, k := range SupportedKernels() {
 			for shards := 1; shards <= 3; shards += 2 {
-				s := &StreamEstimator{rng: seed, Shards: shards}
-				s.countChunkLanesKernel(sc, k)
+				s := &StreamEstimator{rng: seed, Shards: shards, kernel: k}
+				s.countChunkLanes(sc)
 				for i := range want {
 					if sc.counts[i] != want[i] {
 						t.Fatalf("%s shards=%d: counts[%d] = %d, want %d", k, shards, i, sc.counts[i], want[i])

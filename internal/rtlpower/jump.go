@@ -14,7 +14,7 @@ package rtlpower
 
 // xorshiftStep advances the toggle RNG by one draw. It must stay in
 // lockstep with the inline copies in simulateNets, the lane walkers,
-// and lanes_amd64.s.
+// and their assembly forms.
 func xorshiftStep(s uint32) uint32 {
 	s ^= s << 13
 	s ^= s >> 17

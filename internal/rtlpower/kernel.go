@@ -2,9 +2,7 @@ package rtlpower
 
 import (
 	"fmt"
-	"os"
 	"strings"
-	"sync/atomic"
 )
 
 // Kernel identifies one tier of the stripe-walker dispatch ladder. The
@@ -16,8 +14,6 @@ type Kernel uint32
 const (
 	// KernelPortable is the pure-Go lockstep walker (any architecture).
 	KernelPortable Kernel = iota
-	// KernelSSE2 is the 8-lane amd64 baseline kernel (lanes_amd64.s).
-	KernelSSE2
 	// KernelAVX2 is the 16-lane amd64 kernel (lanes16_amd64.s).
 	KernelAVX2
 	// KernelAVX512 is the 32-lane amd64 kernel (lanes32_amd64.s).
@@ -28,9 +24,9 @@ const (
 	numKernels
 )
 
-var kernelNames = [numKernels]string{"portable", "sse2", "avx2", "avx512", "neon"}
+var kernelNames = [numKernels]string{"portable", "avx2", "avx512", "neon"}
 
-// String returns the tier's flag-facing name.
+// String returns the tier's name.
 func (k Kernel) String() string {
 	if int(k) < len(kernelNames) {
 		return kernelNames[k]
@@ -51,84 +47,39 @@ func (k Kernel) width() int {
 	return 8
 }
 
-// EnvKernel is the environment variable forcing a walker tier for the
-// whole process (daemon included); the -kernel CLI flag overrides it.
-const EnvKernel = "XTENERGY_KERNEL"
+// selectedKernel is the widest tier this host runs (supportedKernels
+// lists narrowest first), fixed at init from the CPU features.
+var selectedKernel = func() Kernel {
+	ks := supportedKernels()
+	return ks[len(ks)-1]
+}()
 
-// activeKernel is the tier countChunkLanes dispatches on, stored
-// atomically so the daemon's health snapshot can read it race-free.
-var activeKernel atomic.Uint32
-
-// envKernelErr records an invalid or unsupported EnvKernel value seen
-// at init. Package init cannot exit; CLIs check EnvKernelError and
-// reject the process with exit 2 instead of silently estimating on a
-// different tier than the operator asked for.
-var envKernelErr error
-
-func init() {
-	activeKernel.Store(uint32(defaultKernel()))
-	if v := os.Getenv(EnvKernel); v != "" {
-		if err := SetKernel(v); err != nil {
-			envKernelErr = err
-		}
-	}
-}
-
-// EnvKernelError reports whether EnvKernel held a tier this host cannot
-// run (or an unknown name) at process start.
-func EnvKernelError() error { return envKernelErr }
-
-// ApplyKernelFlag resolves a CLI's kernel selection: a non-empty
-// -kernel value forces that tier (overriding EnvKernel), while an
-// empty one surfaces any invalid EnvKernel value seen at init. CLIs
-// treat an error as an operator mistake and exit 2 rather than
-// silently estimating on a different tier than asked for.
-func ApplyKernelFlag(name string) error {
-	if name == "" {
-		return EnvKernelError()
-	}
-	return SetKernel(name)
-}
-
-// SelectedKernel returns the walker tier currently in effect: the
-// widest supported tier by default, or whatever SetKernel forced.
-func SelectedKernel() Kernel { return Kernel(activeKernel.Load()) }
+// SelectedKernel returns the walker tier New gives every estimator:
+// the widest tier the host CPU supports.
+func SelectedKernel() Kernel { return selectedKernel }
 
 // SupportedKernels lists the tiers compiled in and runnable on this
 // host, narrowest first.
 func SupportedKernels() []Kernel { return supportedKernels() }
 
-// ParseKernel resolves a tier name ("portable", "sse2", "avx2",
-// "avx512", "neon") without checking host support.
-func ParseKernel(name string) (Kernel, error) {
-	for k, n := range kernelNames {
-		if n == name {
-			return Kernel(k), nil
-		}
-	}
-	return 0, fmt.Errorf("rtlpower: unknown kernel %q (valid: %s)",
-		name, strings.Join(kernelNames[:], ", "))
-}
-
-// SetKernel forces the walker tier by name, for debugging and oracle
-// comparison. It fails — leaving the current tier in place — when the
-// name is unknown or the tier cannot run on this host.
-func SetKernel(name string) error {
-	k, err := ParseKernel(name)
-	if err != nil {
-		return err
-	}
+// WithKernel returns a copy of e whose streams walk on tier k, for
+// oracle comparison and per-tier benchmarks; e itself is untouched.
+// The copy starts with its own Describe cache. Tiers this host cannot
+// run are refused.
+func (e *Estimator) WithKernel(k Kernel) (*Estimator, error) {
 	supported := supportedKernels()
 	for _, s := range supported {
 		if s == k {
-			activeKernel.Store(uint32(k))
-			return nil
+			c := *e
+			c.kernel = k
+			c.desc = nil
+			return &c, nil
 		}
 	}
 	names := make([]string, len(supported))
 	for i, s := range supported {
 		names[i] = s.String()
 	}
-	return fmt.Errorf("rtlpower: kernel %q is not supported on this host (supported: %s)",
-		name, strings.Join(names, ", "))
+	return nil, fmt.Errorf("rtlpower: kernel %s is not supported on this host (supported: %s)",
+		k, strings.Join(names, ", "))
 }

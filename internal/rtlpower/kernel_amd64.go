@@ -2,11 +2,11 @@ package rtlpower
 
 import "xtenergy/internal/cpufeat"
 
-// supportedKernels lists the runnable tiers on this amd64 host. SSE2 is
-// part of the amd64 baseline; the wider tiers need CPU (and OS state)
-// support detected by cpufeat.
+// supportedKernels lists the runnable tiers on this amd64 host. The
+// SIMD tiers need CPU (and OS state) support detected by cpufeat; hosts
+// without AVX2 run the portable walker.
 func supportedKernels() []Kernel {
-	ks := []Kernel{KernelPortable, KernelSSE2}
+	ks := []Kernel{KernelPortable}
 	if cpufeat.AVX2 {
 		ks = append(ks, KernelAVX2)
 	}
@@ -14,15 +14,4 @@ func supportedKernels() []Kernel {
 		ks = append(ks, KernelAVX512)
 	}
 	return ks
-}
-
-// defaultKernel picks the widest supported tier at init.
-func defaultKernel() Kernel {
-	switch {
-	case cpufeat.AVX512:
-		return KernelAVX512
-	case cpufeat.AVX2:
-		return KernelAVX2
-	}
-	return KernelSSE2
 }

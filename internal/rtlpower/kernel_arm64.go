@@ -2,20 +2,13 @@ package rtlpower
 
 import "xtenergy/internal/cpufeat"
 
-// supportedKernels lists the runnable tiers on this arm64 host.
+// supportedKernels lists the runnable tiers on this arm64 host. ASIMD
+// is part of every AArch64 target Go supports, so NEON is present in
+// practice.
 func supportedKernels() []Kernel {
 	ks := []Kernel{KernelPortable}
 	if cpufeat.NEON {
 		ks = append(ks, KernelNEON)
 	}
 	return ks
-}
-
-// defaultKernel picks the widest supported tier at init. ASIMD is part
-// of every AArch64 target Go supports, so this is NEON in practice.
-func defaultKernel() Kernel {
-	if cpufeat.NEON {
-		return KernelNEON
-	}
-	return KernelPortable
 }

@@ -4,5 +4,3 @@ package rtlpower
 
 // Architectures without a SIMD walker run the portable tier only.
 func supportedKernels() []Kernel { return []Kernel{KernelPortable} }
-
-func defaultKernel() Kernel { return KernelPortable }

@@ -3,27 +3,15 @@ package rtlpower
 import (
 	"strings"
 	"testing"
-)
 
-func TestParseKernel(t *testing.T) {
-	for k, name := range kernelNames {
-		got, err := ParseKernel(name)
-		if err != nil || got != Kernel(k) {
-			t.Errorf("ParseKernel(%q) = %v, %v; want %v, nil", name, got, err, Kernel(k))
-		}
-	}
-	for _, bad := range []string{"", "AVX2", "sse", "avx1024"} {
-		if _, err := ParseKernel(bad); err == nil {
-			t.Errorf("ParseKernel(%q) succeeded, want error", bad)
-		} else if !strings.Contains(err.Error(), "valid:") {
-			t.Errorf("ParseKernel(%q) error %q does not list the valid names", bad, err)
-		}
-	}
-}
+	"xtenergy/internal/isa"
+	"xtenergy/internal/iss"
+	"xtenergy/internal/procgen"
+)
 
 func TestKernelWidth(t *testing.T) {
 	widths := map[Kernel]int{
-		KernelPortable: 8, KernelSSE2: 8, KernelAVX2: 16, KernelAVX512: 32, KernelNEON: 8,
+		KernelPortable: 8, KernelAVX2: 16, KernelAVX512: 32, KernelNEON: 8,
 	}
 	for k, want := range widths {
 		if got := k.width(); got != want {
@@ -32,76 +20,72 @@ func TestKernelWidth(t *testing.T) {
 	}
 }
 
-func TestSetKernelRoundTrip(t *testing.T) {
-	def := SelectedKernel()
-	t.Cleanup(func() {
-		if err := SetKernel(def.String()); err != nil {
-			t.Fatalf("restoring default kernel: %v", err)
+// TestWithKernel checks the per-estimator tier pin: the copy's streams
+// walk on the requested tier with a Describe cache of their own, the
+// original keeps the CPU-selected tier, and tiers this host cannot run
+// are refused.
+func TestWithKernel(t *testing.T) {
+	proc, err := procgen.Generate(procgen.Default(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := New(proc, FastTechnology())
+	if err != nil {
+		t.Fatal(err)
+	}
+	supported := SupportedKernels()
+	if supported[0] != KernelPortable {
+		t.Fatalf("SupportedKernels() = %v, want portable first", supported)
+	}
+	if want := supported[len(supported)-1]; e.kernel != want || SelectedKernel() != want {
+		t.Fatalf("New picked %v (SelectedKernel %v), want the widest supported tier %v", e.kernel, SelectedKernel(), want)
+	}
+	// Warm the original's Describe cache: entries priced without a plan
+	// record go through it.
+	if err := e.Stream().Consume([]iss.TraceEntry{{Instr: isa.Instr{Op: isa.OpADD}, Cycles: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	if e.desc == nil {
+		t.Fatal("Describe cache not warmed")
+	}
+
+	t.Run("RoundTrip", func(t *testing.T) {
+		for _, k := range supported {
+			c, err := e.WithKernel(k)
+			if err != nil {
+				t.Fatalf("WithKernel(%v): %v", k, err)
+			}
+			if c == e {
+				t.Fatalf("WithKernel(%v) returned the receiver", k)
+			}
+			if got := c.Stream().kernel; got != k {
+				t.Errorf("WithKernel(%v) copy streams on %v", k, got)
+			}
+			if c.desc != nil {
+				t.Errorf("WithKernel(%v) copy shares the Describe cache", k)
+			}
+		}
+		if got := e.Stream().kernel; got != SelectedKernel() {
+			t.Errorf("original streams on %v after WithKernel, want %v", got, SelectedKernel())
 		}
 	})
 
-	for _, k := range SupportedKernels() {
-		if err := SetKernel(k.String()); err != nil {
-			t.Fatalf("SetKernel(%q): %v", k, err)
+	t.Run("Unsupported", func(t *testing.T) {
+		isSupported := map[Kernel]bool{}
+		for _, k := range supported {
+			isSupported[k] = true
 		}
-		if got := SelectedKernel(); got != k {
-			t.Fatalf("SelectedKernel() = %v after SetKernel(%q)", got, k)
-		}
-	}
-
-	// A failed SetKernel must leave the current tier untouched.
-	if err := SetKernel("portable"); err != nil {
-		t.Fatalf("SetKernel(portable): %v", err)
-	}
-	if err := SetKernel("no-such-tier"); err == nil {
-		t.Fatal("SetKernel(no-such-tier) succeeded, want error")
-	}
-	if got := SelectedKernel(); got != KernelPortable {
-		t.Fatalf("failed SetKernel changed the tier to %v", got)
-	}
-}
-
-func TestSetKernelUnsupported(t *testing.T) {
-	supported := map[Kernel]bool{}
-	for _, k := range SupportedKernels() {
-		supported[k] = true
-	}
-	if !supported[KernelPortable] {
-		t.Fatal("portable tier missing from SupportedKernels")
-	}
-	for k := Kernel(0); k < numKernels; k++ {
-		if supported[k] {
-			continue
-		}
-		err := SetKernel(k.String())
-		if err == nil {
-			t.Fatalf("SetKernel(%q) succeeded on a host that does not support it", k)
-		}
-		if !strings.Contains(err.Error(), "not supported on this host") {
-			t.Errorf("SetKernel(%q) error %q lacks the host-support explanation", k, err)
-		}
-	}
-}
-
-func TestApplyKernelFlag(t *testing.T) {
-	def := SelectedKernel()
-	t.Cleanup(func() {
-		if err := SetKernel(def.String()); err != nil {
-			t.Fatalf("restoring default kernel: %v", err)
+		for k := Kernel(0); k <= numKernels; k++ {
+			if isSupported[k] {
+				continue
+			}
+			c, err := e.WithKernel(k)
+			if err == nil || c != nil {
+				t.Fatalf("WithKernel(%v) = %v, %v on a host that does not run it", k, c, err)
+			}
+			if !strings.Contains(err.Error(), "not supported on this host") {
+				t.Errorf("WithKernel(%v) error %q lacks the host-support explanation", k, err)
+			}
 		}
 	})
-
-	// Empty flag defers to the (valid-or-absent here) environment value.
-	if err := ApplyKernelFlag(""); err != EnvKernelError() {
-		t.Errorf("ApplyKernelFlag(\"\") = %v, want EnvKernelError() = %v", err, EnvKernelError())
-	}
-	if err := ApplyKernelFlag("portable"); err != nil {
-		t.Fatalf("ApplyKernelFlag(portable): %v", err)
-	}
-	if got := SelectedKernel(); got != KernelPortable {
-		t.Fatalf("SelectedKernel() = %v after forcing portable", got)
-	}
-	if err := ApplyKernelFlag("bogus"); err == nil {
-		t.Error("ApplyKernelFlag(bogus) succeeded, want error")
-	}
 }

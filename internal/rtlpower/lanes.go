@@ -8,7 +8,7 @@ package rtlpower
 // JumpAhead, clips segments at stripe boundaries into per-lane records,
 // and advances all 8 lanes together: the serial latency-bound xorshift
 // recurrence becomes 8 independent recurrences and the loop runs at ILP
-// (or SIMD, see lanes_amd64.s) speed. Every lane enumerates exactly the
+// (or SIMD, see kernel.go) speed. Every lane enumerates exactly the
 // states the sequential walk would have produced at its draw offsets,
 // and toggle counts are integers accumulated per segment, so partition
 // sums are bit-identical to the sequential counts.
@@ -16,7 +16,7 @@ package rtlpower
 // laneRec is one stripe-clipped run of draws under a single threshold.
 // A segment split by a stripe boundary becomes two records with the
 // same slot; the counts are additive. The 12-byte layout is indexed
-// directly by lanes_amd64.s.
+// directly by the assembly walkers.
 type laneRec struct {
 	thr  uint32 // toggle threshold (raw; the SIMD walker biases it on load)
 	rem  uint32 // number of draws in the run, ≥ 1
@@ -29,7 +29,7 @@ type laneRec struct {
 // are consumed in place; st is overwritten with the lanes' final
 // states, which for lanes that drained early include sentinel idle
 // draws — diagnostic only, chunk RNG continuity uses JumpAhead. Field
-// offsets are hardcoded in lanes_amd64.s and pinned by TestWalk8Layout.
+// offsets are hardcoded in lanes_arm64.s and pinned by TestWalk8Layout.
 type walk8 struct {
 	recs   []laneRec
 	counts []uint32
@@ -71,7 +71,7 @@ const sentinelRem = ^uint32(0)
 // inner loop is 8 independent xorshift chains with branchless toggle
 // counting and no per-draw bookkeeping. Exhausted lanes idle on a
 // sentinel record with threshold 0 (counts nothing) until all lanes
-// drain. It is the reference implementation the amd64 SIMD walker is
+// drain. It is the reference implementation the arm64 SIMD walker is
 // differentially tested against, and the production walker elsewhere.
 func countStripes8Go(w *walk8) {
 	var rem, thr, acc, slot [8]uint32

@@ -5,9 +5,9 @@
 // Lane layout: Y0 holds lanes 0-7, Y1 lanes 8-15. The unsigned compare
 // "state < threshold" is the signed VPCMPGTD after biasing both sides
 // by 0x80000000 (thresholds once at record load, states per draw via
-// Y7). Unlike the SSE2 kernel, the remaining-draw counters also live in
-// YMM registers (Y8/Y9): the per-round min reduction is a VPMINUD tree,
-// the round decrement a VPSUBD, and drained lanes fall out of a
+// Y7). The remaining-draw counters also live in YMM registers
+// (Y8/Y9): the per-round min reduction is a VPMINUD tree, the round
+// decrement a VPSUBD, and drained lanes fall out of a
 // VPCMPEQD-against-zero sign mask — the scalar sweep then touches only
 // the lanes whose bit is set, found by BSF. Exhausted lanes idle on a
 // sentinel (rem=~0, biased threshold INT32_MIN, never counted); chunk

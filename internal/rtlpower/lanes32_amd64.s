@@ -2,8 +2,8 @@
 // xorshift32 vectors (see lanes.go for the contract and
 // countStripesWideGo for the reference implementation).
 //
-// Lane layout: Z0 holds lanes 0-15, Z1 lanes 16-31. Unlike the
-// SSE2/AVX2 tiers there is no sign-bias trick: VPCMPUD $1 compares
+// Lane layout: Z0 holds lanes 0-15, Z1 lanes 16-31. Unlike the AVX2
+// tier there is no sign-bias trick: VPCMPUD $1 compares
 // unsigned less-than directly into an opmask, and the per-lane toggle
 // counters (Z4/Z5) advance with a masked VPADDD of broadcast-one
 // (Z10). Thresholds are kept raw; the exhausted-lane sentinel

@@ -2,15 +2,6 @@
 
 package rtlpower
 
-// countStripes8SSE2 is the SIMD form of the 8-lane walker
-// (lanes_amd64.s): two 4-wide xorshift32 vectors with branchless
-// compare-accumulate toggle counting, the same lockstep-round contract
-// as countStripes8Go. SSE2 only — part of the amd64 baseline, so no
-// runtime feature detection is needed.
-//
-//go:noescape
-func countStripes8SSE2(w *walk8)
-
 // countStripes16AVX2 is the 16-lane AVX2 tier (lanes16_amd64.s): two
 // 8-wide YMM xorshift32 vectors with the remaining-draw counters held
 // in YMM registers too, so the per-round min reduction and drained-lane
@@ -27,9 +18,6 @@ func countStripes16AVX2(w *walk16)
 //
 //go:noescape
 func countStripes32AVX512(w *walk32)
-
-// countStripes8 runs one 8-lane walk; on amd64 it is the SIMD walker.
-func countStripes8(w *walk8) { countStripes8SSE2(w) }
 
 // countStripes16 and countStripes32 run the wide walks; on amd64 the
 // dispatch ladder only selects them on feature-checked hosts.

@@ -1,6 +1,6 @@
 // NEON (Advanced SIMD) form of the 8-lane stripe walker (see lanes.go
 // for the contract and countStripes8Go for the reference
-// implementation) — the arm64 port of lanes_amd64.s.
+// implementation).
 //
 // Lane layout: V0 holds lanes 0-3, V1 lanes 4-7. The Go arm64
 // assembler exposes no vector unsigned compare-greater, so the strict

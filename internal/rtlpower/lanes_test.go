@@ -6,9 +6,19 @@ import (
 	"unsafe"
 )
 
-// TestWalk8Layout pins the struct layout lanes_amd64.s hardcodes. If
+// skipOn32Bit skips the layout pins where pointers are 4 bytes: the
+// pinned offsets are the 64-bit assembly's, and no walker assembly is
+// built for 32-bit targets.
+func skipOn32Bit(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("layout pins hold for 64-bit targets only")
+	}
+}
+
+// TestWalk8Layout pins the struct layout lanes_arm64.s hardcodes. If
 // this fails, the assembly's field offsets must be updated in lockstep.
 func TestWalk8Layout(t *testing.T) {
+	skipOn32Bit(t)
 	var w walk8
 	if got := unsafe.Sizeof(laneRec{}); got != 12 {
 		t.Errorf("sizeof(laneRec) = %d, want 12", got)
@@ -33,6 +43,7 @@ func TestWalk8Layout(t *testing.T) {
 
 // TestWalk16Layout pins the struct layout lanes16_amd64.s hardcodes.
 func TestWalk16Layout(t *testing.T) {
+	skipOn32Bit(t)
 	var w walk16
 	offs := []struct {
 		name string
@@ -54,6 +65,7 @@ func TestWalk16Layout(t *testing.T) {
 
 // TestWalk32Layout pins the struct layout lanes32_amd64.s hardcodes.
 func TestWalk32Layout(t *testing.T) {
+	skipOn32Bit(t)
 	var w walk32
 	offs := []struct {
 		name string
@@ -133,8 +145,8 @@ func cloneWalk(w *walk8) *walk8 {
 
 // TestCountStripes8MatchesOracle differentially tests both walker
 // implementations — the portable lockstep walker and whatever
-// countStripes8 dispatches to on this architecture (the SSE2 kernel on
-// amd64) — against the one-lane-at-a-time scalar oracle, on random
+// countStripes8 dispatches to on this architecture (the NEON kernel on
+// arm64) — against the one-lane-at-a-time scalar oracle, on random
 // walks including empty lanes, shared slots, and boundary thresholds.
 func TestCountStripes8MatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
@@ -340,8 +352,8 @@ func TestCountChunkLanesMatchesSequential(t *testing.T) {
 		// Every tier the host can run — not just the default dispatch —
 		// must reproduce the sequential chain exactly.
 		for _, k := range SupportedKernels() {
-			s := &StreamEstimator{rng: seed, Shards: shards}
-			s.countChunkLanesKernel(sc, k)
+			s := &StreamEstimator{rng: seed, Shards: shards, kernel: k}
+			s.countChunkLanes(sc)
 
 			for i := range want {
 				if sc.counts[i] != want[i] {

@@ -28,7 +28,7 @@ import (
 // pure function of the trace entry and its plan record — and the
 // schedule's one serial draw chain is then counted by jump-ahead lanes
 // (see lanes.go and jump.go) instead of one latency-bound xorshift
-// recurrence — 8, 16, or 32 lanes wide depending on the selected
+// recurrence — 8, 16, or 32 lanes wide depending on the estimator's
 // kernel tier (see kernel.go). The lanes enumerate exactly the states the
 // sequential walk would, toggle counts are integers, and the energy
 // fold replays the float operations in the sequential order, so
@@ -73,6 +73,7 @@ type StreamEstimator struct {
 
 	thrIdle   uint32 // toggle threshold of the idle process, fixed per pass
 	totalNets uint64 // Σ nets over all blocks: draws per simulated cycle
+	kernel    Kernel // walker tier, copied from the estimator
 	sched     *schedule
 	forceSeq  bool // tests: pin the sequential reference path
 }
@@ -92,6 +93,7 @@ func (e *Estimator) Stream() *StreamEstimator {
 		dcPen:     e.proc.Config.DCache.MissPenalty,
 		thrIdle:   toggleThreshold(pIdle),
 		totalNets: totalNets,
+		kernel:    e.kernel,
 	}
 }
 
@@ -491,26 +493,18 @@ func (s *StreamEstimator) countChunkSeq(sc *schedule) {
 }
 
 // countChunkLanes counts the chunk's schedule with the jump-ahead lane
-// kernel at the process-selected tier (see kernel.go).
+// kernel of the stream's tier: the draw chain is cut into equal
+// stripes (one per lane of the tier's width, one walk per shard),
+// segments are clipped at stripe boundaries into lane records, each
+// stripe's start state comes from JumpAhead, and the walks run
+// concurrently when sharding is enabled. Counts land in the same
+// per-segment slots the sequential walk fills, additively for
+// boundary-split segments, so the totals are identical integers
+// whatever the tier's lane count.
 //
 //xtenergy:hotpath
 func (s *StreamEstimator) countChunkLanes(sc *schedule) {
-	s.countChunkLanesKernel(sc, SelectedKernel())
-}
-
-// countChunkLanesKernel counts the chunk's schedule with the jump-ahead
-// lane kernel of tier k: the draw chain is cut into equal stripes (one
-// per lane of the tier's width, one walk per shard), segments are
-// clipped at stripe boundaries into lane records, each stripe's start
-// state comes from JumpAhead, and the walks run concurrently when
-// sharding is enabled. Counts land in the same per-segment slots the
-// sequential walk fills, additively for boundary-split segments, so
-// the totals are identical integers whatever the tier's lane count.
-// Taking the tier explicitly (rather than reading the process global)
-// keeps the cross-kernel differential tests race-free.
-//
-//xtenergy:hotpath
-func (s *StreamEstimator) countChunkLanesKernel(sc *schedule, k Kernel) {
+	k := s.kernel
 	width := k.width()
 	nseg := len(sc.segs)
 	sc.counts = sc.counts[:nseg]

@@ -44,12 +44,15 @@ type onEntryRec struct {
 	pj     float64
 }
 
-// streamRun consumes trace through a fresh StreamEstimator in ragged
-// batches, recording every OnEntry callback.
-func streamRun(t *testing.T, proc *procgen.Processor, trace []iss.TraceEntry, shards int, seq bool) (Report, []onEntryRec) {
+// streamRun consumes trace through a fresh StreamEstimator on walker
+// tier k in ragged batches, recording every OnEntry callback.
+func streamRun(t *testing.T, proc *procgen.Processor, trace []iss.TraceEntry, k Kernel, shards int, seq bool) (Report, []onEntryRec) {
 	t.Helper()
 	e, err := New(proc, FastTechnology())
 	if err != nil {
+		t.Fatal(err)
+	}
+	if e, err = e.WithKernel(k); err != nil {
 		t.Fatal(err)
 	}
 	st := e.Stream()
@@ -77,9 +80,10 @@ func streamRun(t *testing.T, proc *procgen.Processor, trace []iss.TraceEntry, sh
 
 // TestStreamLanesMatchSequential is the end-to-end bit-exactness proof
 // for the lane kernel: the chunked jump-ahead path — single-walk and
-// sharded — must produce a Report, per-block energies, and per-entry
-// OnEntry energies bit-identical to the sequential reference path
-// (forceSeq), which is the pre-kernel simulateNets walk unchanged.
+// sharded, on every walker tier this host runs — must produce a
+// Report, per-block energies, and per-entry OnEntry energies
+// bit-identical to the sequential reference path (forceSeq), which is
+// the pre-kernel simulateNets walk unchanged.
 func TestStreamLanesMatchSequential(t *testing.T) {
 	proc, err := procgen.Generate(procgen.Default(), nil)
 	if err != nil {
@@ -94,7 +98,7 @@ func TestStreamLanesMatchSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	wantRep, wantRecs := streamRun(t, proc, res.Trace, 0, true)
+	wantRep, wantRecs := streamRun(t, proc, res.Trace, KernelPortable, 0, true)
 
 	for _, tc := range []struct {
 		name   string
@@ -104,27 +108,38 @@ func TestStreamLanesMatchSequential(t *testing.T) {
 		{"sharded", 3},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			gotRep, gotRecs := streamRun(t, proc, res.Trace, tc.shards, false)
-			if gotRep.TotalPJ != wantRep.TotalPJ {
-				t.Errorf("TotalPJ = %v, want %v (bit-identical)", gotRep.TotalPJ, wantRep.TotalPJ)
-			}
-			if gotRep.Cycles != wantRep.Cycles {
-				t.Errorf("Cycles = %d, want %d", gotRep.Cycles, wantRep.Cycles)
-			}
-			for i := range wantRep.PerBlockPJ {
-				if gotRep.PerBlockPJ[i] != wantRep.PerBlockPJ[i] {
-					t.Errorf("PerBlockPJ[%d] = %v, want %v", i, gotRep.PerBlockPJ[i], wantRep.PerBlockPJ[i])
-				}
-			}
-			if len(gotRecs) != len(wantRecs) {
-				t.Fatalf("OnEntry called %d times, want %d", len(gotRecs), len(wantRecs))
-			}
-			for i := range wantRecs {
-				if gotRecs[i] != wantRecs[i] {
-					t.Fatalf("OnEntry[%d] = %+v, want %+v (bit-identical)", i, gotRecs[i], wantRecs[i])
-				}
+			for _, k := range SupportedKernels() {
+				t.Run(k.String(), func(t *testing.T) {
+					gotRep, gotRecs := streamRun(t, proc, res.Trace, k, tc.shards, false)
+					compareStreamRun(t, gotRep, wantRep, gotRecs, wantRecs)
+				})
 			}
 		})
+	}
+}
+
+// compareStreamRun requires a lane-path run to match the sequential
+// reference bit for bit: report, per-block energies, and every OnEntry.
+func compareStreamRun(t *testing.T, gotRep, wantRep Report, gotRecs, wantRecs []onEntryRec) {
+	t.Helper()
+	if gotRep.TotalPJ != wantRep.TotalPJ {
+		t.Errorf("TotalPJ = %v, want %v (bit-identical)", gotRep.TotalPJ, wantRep.TotalPJ)
+	}
+	if gotRep.Cycles != wantRep.Cycles {
+		t.Errorf("Cycles = %d, want %d", gotRep.Cycles, wantRep.Cycles)
+	}
+	for i := range wantRep.PerBlockPJ {
+		if gotRep.PerBlockPJ[i] != wantRep.PerBlockPJ[i] {
+			t.Errorf("PerBlockPJ[%d] = %v, want %v", i, gotRep.PerBlockPJ[i], wantRep.PerBlockPJ[i])
+		}
+	}
+	if len(gotRecs) != len(wantRecs) {
+		t.Fatalf("OnEntry called %d times, want %d", len(gotRecs), len(wantRecs))
+	}
+	for i := range wantRecs {
+		if gotRecs[i] != wantRecs[i] {
+			t.Fatalf("OnEntry[%d] = %+v, want %+v (bit-identical)", i, gotRecs[i], wantRecs[i])
+		}
 	}
 }
 

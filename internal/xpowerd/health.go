@@ -26,9 +26,9 @@ type Health struct {
 	QueueCapacity int `json:"queue_capacity"`
 	// Workers is the pool's fixed concurrency bound.
 	Workers int `json:"workers"`
-	// Kernel is the net-simulation walker tier in effect (runtime
-	// feature selection, or an XTENERGY_KERNEL override) — the tier
-	// every estimate this daemon serves is computed on.
+	// Kernel is the net-simulation walker tier every estimate this
+	// daemon serves is computed on: the widest tier the host CPU
+	// supports, chosen at process start.
 	Kernel string `json:"kernel"`
 	// Requests counts every decoded request since start; Shed counts
 	// the ones rejected for load (queue full, connection limit,

@@ -24,6 +24,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 
 	"xtenergy/internal/iss"
 )
@@ -60,7 +61,7 @@ func WriteFrame(w io.Writer, v any) error {
 	if err != nil {
 		return fmt.Errorf("xpowerd: encode frame: %w", err)
 	}
-	if len(payload) > int(^uint32(0)) {
+	if uint64(len(payload)) > math.MaxUint32 {
 		return fmt.Errorf("xpowerd: frame payload of %d bytes overflows the length prefix", len(payload))
 	}
 	var hdr [frameHeaderSize]byte
