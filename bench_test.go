@@ -12,6 +12,7 @@ package xtenergy_test
 
 import (
 	"context"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -50,17 +51,23 @@ func sharedSuite(b *testing.B) *experiments.Suite {
 
 // BenchmarkTable1Characterize measures the full characterization flow
 // (Table I): 40 test programs x (ISS + resource analysis + reference
-// power estimation) + the regression fit.
+// power estimation) + the regression fit. Besides -benchmem's figures
+// it reports the garbage collections a pass triggers (gcs/op).
 func BenchmarkTable1Characterize(b *testing.B) {
 	cfg := procgen.Default()
 	tech := rtlpower.FastTechnology()
 	suite := workloads.CharacterizationSuite()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := core.Characterize(context.Background(), cfg, tech, suite, core.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	b.ReportMetric(float64(after.NumGC-before.NumGC)/float64(b.N), "gcs/op")
 }
 
 // BenchmarkFig3FittingErrors measures regenerating the fitting-error

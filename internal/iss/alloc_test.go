@@ -2,11 +2,13 @@ package iss_test
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"xtenergy/internal/asm"
 	"xtenergy/internal/iss"
 	"xtenergy/internal/procgen"
+	"xtenergy/internal/workloads"
 )
 
 // countdown returns a program that retires roughly 2n+2 instructions.
@@ -62,5 +64,35 @@ func TestRunSteadyStateAllocs(t *testing.T) {
 	// per-step term is not.
 	if allocsLong > 4 {
 		t.Errorf("steady-state run allocates %.1f objects; want <= 4", allocsLong)
+	}
+}
+
+// TestFreshRunAllocationBounded pins per-run memory to what the program
+// touches: RAM is materialized on demand, so a fresh simulator running a
+// small registry program allocates a few KiB of RAM, not the whole
+// architectural size (1 MiB by default).
+func TestFreshRunAllocationBounded(t *testing.T) {
+	const limit = 64 << 10
+	w := workloads.Gcd()
+	proc, prog, err := w.Build(procgen.Default())
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func() {
+		if _, err := iss.New(proc).Run(prog, iss.Options{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // builds the program's cached plan
+
+	const runs = 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		run()
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per > limit {
+		t.Errorf("a fresh %s run allocates %d bytes; want <= %d", w.Name, per, limit)
 	}
 }

@@ -104,7 +104,15 @@ type Simulator struct {
 
 	regs [isa.NumRegs]uint32
 	tie  *tie.State
-	mem  []byte
+
+	// RAM: memBytes is the architectural size (Config.MemBytes), which
+	// every bounds check and memory fault uses; mem materializes only a
+	// zero-filled prefix of it. Bytes past len(mem) have never been
+	// written and read as zero; a store or data segment past the prefix
+	// grows it (see grow). len(mem) is always a multiple of memPage or
+	// memBytes itself, so an aligned access never straddles its edge.
+	memBytes int
+	mem      []byte
 
 	ic, dc *cache.Cache
 	pipe   *pipeline.Model
@@ -148,11 +156,11 @@ type Simulator struct {
 // New returns a simulator for the given processor.
 func New(p *procgen.Processor) *Simulator {
 	s := &Simulator{
-		proc: p,
-		mem:  make([]byte, p.Config.MemBytes),
-		ic:   cache.New(p.Config.ICache),
-		dc:   cache.New(p.Config.DCache),
-		pipe: pipeline.New(),
+		proc:     p,
+		memBytes: p.Config.MemBytes,
+		ic:       cache.New(p.Config.ICache),
+		dc:       cache.New(p.Config.DCache),
+		pipe:     pipeline.New(),
 	}
 	if p.TIE.Ext != nil && p.TIE.Ext.NumCustomRegs > 0 {
 		s.tie = tie.NewState(p.TIE.Ext.NumCustomRegs)
@@ -309,11 +317,17 @@ func (s *Simulator) reset(prog *Program) {
 	s.plan = prog.Plan(s.proc.TIE)
 	s.regs = [isa.NumRegs]uint32{}
 	s.regs[0] = haltPC // link register sentinel: top-level ret halts
-	for i := range s.mem {
-		s.mem[i] = 0
-	}
+	clear(s.mem)
 	for _, seg := range prog.Data {
-		copy(s.mem[seg.Addr:], seg.Bytes)
+		// Bytes past the architectural size are dropped.
+		if int64(seg.Addr) >= int64(s.memBytes) {
+			continue
+		}
+		end := min(int(seg.Addr)+len(seg.Bytes), s.memBytes)
+		if end > len(s.mem) {
+			s.grow(end)
+		}
+		copy(s.mem[seg.Addr:end], seg.Bytes)
 	}
 	s.ic.Reset()
 	s.dc.Reset()
@@ -530,9 +544,25 @@ func (s *Simulator) finishEntry(te *TraceEntry, pc int, in isa.Instr, cycles int
 
 // --- memory access helpers (little endian, bounds- and alignment-checked) ---
 
+// memPage is the granularity of the materialized RAM prefix.
+const memPage = 4 << 10
+
+// grow materializes RAM up to at least byte n (n <= memBytes): the
+// prefix doubles, or rounds n up to a page if that is larger, capped at
+// the architectural size. The new bytes are zero.
+func (s *Simulator) grow(n int) {
+	size := min(max(2*len(s.mem), (n+memPage-1)&^(memPage-1)), s.memBytes)
+	mem := make([]byte, size)
+	copy(mem, s.mem)
+	s.mem = mem
+}
+
 func (s *Simulator) load(addr uint32, size int) (uint32, error) {
 	if err := s.checkMem(addr, size); err != nil {
 		return 0, err
+	}
+	if int(addr) >= len(s.mem) {
+		return 0, nil // past the materialized prefix: never written
 	}
 	switch size {
 	case 1:
@@ -548,6 +578,9 @@ func (s *Simulator) load(addr uint32, size int) (uint32, error) {
 func (s *Simulator) store(addr uint32, size int, v uint32) error {
 	if err := s.checkMem(addr, size); err != nil {
 		return err
+	}
+	if end := int(addr) + size; end > len(s.mem) {
+		s.grow(end)
 	}
 	switch size {
 	case 1:
@@ -570,8 +603,8 @@ func (s *Simulator) checkMem(addr uint32, size int) error {
 		f.Addr = addr
 		return f
 	}
-	if int(addr)+size > len(s.mem) {
-		f := newFault(FaultMem, "access beyond %d-byte RAM", len(s.mem))
+	if uint64(addr)+uint64(size) > uint64(s.memBytes) {
+		f := newFault(FaultMem, "access beyond %d-byte RAM", s.memBytes)
 		f.Addr = addr
 		return f
 	}
@@ -584,11 +617,16 @@ func (s *Simulator) ReadMem(addr uint32, sz int) ([]byte, error) {
 	if err := s.checkMem(addr, 1); err != nil {
 		return nil, err
 	}
-	if int(addr)+sz > len(s.mem) {
+	if sz < 0 {
+		return nil, fmt.Errorf("iss: negative read size %d at %#x", sz, addr)
+	}
+	if sz > s.memBytes-int(addr) {
 		return nil, fmt.Errorf("iss: read of %d bytes at %#x beyond RAM", sz, addr)
 	}
 	out := make([]byte, sz)
-	copy(out, s.mem[addr:])
+	if int(addr) < len(s.mem) {
+		copy(out, s.mem[addr:])
+	}
 	return out, nil
 }
 

@@ -143,10 +143,10 @@ type segRec struct {
 
 // schedule is the reusable per-chunk compilation of trace entries into
 // toggle-draw segments, plus the lane-walk scratch built from them.
-// Buffers are allocated once (first chunk) and reused; schedules
-// themselves are pooled (schedPool) across estimation passes, so both
-// Consume in the steady state and fresh StreamEstimators after warm-up
-// allocate nothing.
+// Buffers are sized by the first chunk, grown only by a wider one, and
+// reused; schedules themselves are pooled (schedPool) across estimation
+// passes, so both Consume in the steady state and fresh
+// StreamEstimators after warm-up allocate nothing.
 type schedule struct {
 	segs   []segRec // compiled draw segments, in sequential fold order
 	counts []uint32 // per segment: toggle count, filled by the kernel
@@ -164,24 +164,27 @@ type schedule struct {
 }
 
 // schedPool recycles schedule scratch across StreamEstimators. A
-// schedule's buffers are several hundred KB once warm; before pooling,
-// every fresh pass re-allocated them on its first chunk — the
-// BENCH_iss.json reference_streamed alloc regression (29 → 39
-// allocs/op), which git history places at the jump-ahead lane kernel
-// (PR 5), not the memo engine.
+// schedule's buffers follow the widest chunk it has compiled: about
+// 170 KB for a 256-entry streamed batch on the default processor's 12
+// blocks, four times that after a 1024-entry chunk of a materialized
+// trace. Before pooling, every fresh pass re-allocated them on its
+// first chunk — the BENCH_iss.json reference_streamed alloc regression
+// (29 → 39 allocs/op), which git history places at the jump-ahead lane
+// kernel (PR 5), not the memo engine.
 var schedPool = sync.Pool{New: func() any { return new(schedule) }}
 
-func (sc *schedule) begin(nblocks int) {
-	// Grow, don't just warm: a pooled schedule may have been sized for
-	// a processor with fewer blocks than this pass's.
-	if segCap := maxConsumeEntries * 2 * nblocks; cap(sc.segs) < segCap {
+func (sc *schedule) begin(nentries, nblocks int) {
+	// Size for the chunk being compiled — an entry emits at most one
+	// active and one idle segment per block — and only grow: a pooled
+	// schedule keeps the capacity of the largest chunk it has compiled.
+	if segCap := nentries * 2 * nblocks; cap(sc.segs) < segCap {
 		sc.segs = make([]segRec, 0, segCap)
 		sc.counts = make([]uint32, 0, segCap)
-		sc.entEnd = make([]int32, 0, maxConsumeEntries)
-		sc.entCyc = make([]uint32, 0, maxConsumeEntries)
 		sc.recs = make([]laneRec, 0, segCap+maxWalkLanes)
-		sc.laneEnd = make([]int32, 0, maxWalkLanes)
-		sc.laneStates = make([]uint32, 0, maxWalkLanes)
+	}
+	if cap(sc.entEnd) < nentries {
+		sc.entEnd = make([]int32, 0, nentries)
+		sc.entCyc = make([]uint32, 0, nentries)
 	}
 	sc.segs = sc.segs[:0]
 	sc.entEnd = sc.entEnd[:0]
@@ -256,7 +259,7 @@ func (s *StreamEstimator) consumeChunk(chunk []iss.TraceEntry) error {
 		sc = schedPool.Get().(*schedule)
 		s.sched = sc
 	}
-	sc.begin(len(s.e.blocks))
+	sc.begin(len(chunk), len(s.e.blocks))
 	var (
 		fault      error
 		faultEntry *iss.TraceEntry
@@ -535,6 +538,7 @@ func (s *StreamEstimator) countChunkLanes(sc *schedule) {
 	}
 	if cap(sc.laneEnd) < lanes {
 		sc.laneEnd = make([]int32, lanes)
+		sc.laneStates = make([]uint32, 0, lanes)
 	}
 	recs := sc.recs[:cap(sc.recs)]
 	laneEnd := sc.laneEnd[:lanes]

@@ -217,3 +217,40 @@ loop:
 		}
 	}
 }
+
+// TestScheduleSizedToChunk pins the schedule scratch to the chunk being
+// compiled: after one TraceBatchSize-entry Consume, a fresh schedule
+// holds at most two segments per block per entry of that chunk, not
+// room for the widest chunk Consume accepts.
+func TestScheduleSizedToChunk(t *testing.T) {
+	proc, err := procgen.Generate(procgen.Default(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := asm.New(proc.TIE).Assemble("t", mixedSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := iss.New(proc).Run(prog, iss.Options{CollectTrace: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := New(proc, FastTechnology())
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := e.Stream()
+	st.sched = new(schedule) // not a pooled one sized by an earlier, wider chunk
+	if err := st.Consume(res.Trace[:iss.TraceBatchSize]); err != nil {
+		t.Fatal(err)
+	}
+	sc := st.sched
+	limit := iss.TraceBatchSize * 2 * len(e.blocks)
+	if cap(sc.segs) > limit || cap(sc.counts) > limit || cap(sc.recs) > limit+maxWalkLanes {
+		t.Errorf("schedule capacity segs %d, counts %d, recs %d after a %d-entry chunk; want <= %d (+%d recs)",
+			cap(sc.segs), cap(sc.counts), cap(sc.recs), iss.TraceBatchSize, limit, maxWalkLanes)
+	}
+	if cap(sc.entEnd) > iss.TraceBatchSize || cap(sc.entCyc) > iss.TraceBatchSize {
+		t.Errorf("per-entry capacity %d/%d; want <= %d", cap(sc.entEnd), cap(sc.entCyc), iss.TraceBatchSize)
+	}
+}
