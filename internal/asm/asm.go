@@ -217,8 +217,12 @@ func (a *Assembler) Assemble(name, src string) (*iss.Program, error) {
 	}
 
 	// Pass 2: emit.
-	prog := &iss.Program{Name: name}
-	var uncachedFlags []bool
+	prog := &iss.Program{
+		Name:  name,
+		Code:  make([]isa.Instr, 0, codeIdx),
+		Lines: make([]int, 0, codeIdx),
+	}
+	uncachedFlags := make([]bool, 0, codeIdx)
 	uncached := false
 	inData = false
 	dataCursor = -1
@@ -610,9 +614,10 @@ func parseNumber(args []string, ln *sourceLine, name string) (int64, error) {
 
 // scan tokenizes the source into logical lines.
 func scan(name, src string) ([]sourceLine, error) {
-	var out []sourceLine
+	raws := strings.Split(src, "\n")
+	out := make([]sourceLine, 0, len(raws))
 	var pendingLabels []labelRef
-	for num, raw := range strings.Split(src, "\n") {
+	for num, raw := range raws {
 		line := stripComment(raw)
 		line = strings.TrimSpace(line)
 		lineNum := num + 1
@@ -643,8 +648,9 @@ func scan(name, src string) ([]sourceLine, error) {
 		ln := sourceLine{num: lineNum, labels: pendingLabels, op: strings.ToLower(op)}
 		pendingLabels = nil
 		if rest != "" {
-			for _, f := range strings.Split(rest, ",") {
-				ln.args = append(ln.args, strings.TrimSpace(f))
+			ln.args = strings.Split(rest, ",")
+			for i, f := range ln.args {
+				ln.args[i] = strings.TrimSpace(f)
 			}
 		}
 		out = append(out, ln)

@@ -3,7 +3,7 @@ package xlint
 // Abstract interpretation over the predecoded plan IR: an interval +
 // constant-propagation domain for the 64 general registers, propagated
 // to a fixpoint over the CFG with widening at loop headers. The
-// converged per-pc states feed three consumers:
+// converged states feed three consumers:
 //
 //   - value-aware findings (statically dead branch edges, zero-trip
 //     and never-terminating zero-overhead loops, accesses that are
@@ -192,15 +192,25 @@ const widenThreshold = 4
 // Interpret); narrowing usually converges in one or two rounds.
 const narrowRounds = 3
 
+// ckptStride is the spacing, in instructions, of the states stored
+// inside a block: a state is stored at every ckptStride-th instruction
+// after the block's entry, so any pre-state is at most ckptStride-1
+// transfers away from a stored one.
+const ckptStride = 32
+
 // AbsResult is the outcome of abstract interpretation of one program.
+// It is immutable once Interpret returns, so concurrent readers need no
+// synchronization: every query replays into a fresh state.
 type AbsResult struct {
 	CFG *CFG
 	// In[id] is the converged abstract state at entry of block id; nil
 	// when the interpreter never reached the block.
 	In []*RegState
-	// at[pc] is the pre-execution state per instruction; nil when the
-	// instruction is unreachable.
-	at []*RegState
+	// ckpt[id] holds the pre-states of the instructions at offsets
+	// ckptStride, 2*ckptStride, ... from the start of reached block id.
+	// Together with In this bounds the storage by one state per block
+	// plus one per ckptStride instructions.
+	ckpt [][]RegState
 	// deadEdge marks successor edges whose branch condition is
 	// statically impossible at the converged states.
 	deadEdge map[edgeRef]bool
@@ -209,12 +219,34 @@ type AbsResult struct {
 
 // StateAt returns the converged abstract register state immediately
 // before the instruction at pc executes, or nil when pc is statically
-// unreachable (or out of range).
+// unreachable (or out of range). The result is a fresh copy the caller
+// may keep or modify.
 func (a *AbsResult) StateAt(pc int) *RegState {
-	if pc < 0 || pc >= len(a.at) {
+	st := new(RegState)
+	if !a.stateAt(pc, st) {
 		return nil
 	}
-	return a.at[pc]
+	return st
+}
+
+// stateAt writes the pre-state of pc into st by replaying the transfers
+// from the nearest stored state at or before pc, and reports whether pc
+// is reachable.
+func (a *AbsResult) stateAt(pc int, st *RegState) bool {
+	blk := a.CFG.BlockAt(pc)
+	if blk == nil || a.In[blk.ID] == nil {
+		return false
+	}
+	k := (pc - blk.Start) / ckptStride
+	if k == 0 {
+		*st = *a.In[blk.ID]
+	} else {
+		*st = a.ckpt[blk.ID][k-1]
+	}
+	for at := blk.Start + k*ckptStride; at < pc; at++ {
+		transferRec(st, &a.CFG.Plan.Recs[at], at)
+	}
+	return true
 }
 
 // Check validates one dynamic register-file observation against the
@@ -222,8 +254,8 @@ func (a *AbsResult) StateAt(pc int) *RegState {
 // interval. It returns a descriptive error on the first violation —
 // the soundness oracle for iss.Options.RegProbe differential tests.
 func (a *AbsResult) Check(pc int, regs *[isa.NumRegs]uint32) error {
-	st := a.StateAt(pc)
-	if st == nil {
+	var st RegState
+	if !a.stateAt(pc, &st) {
 		return fmt.Errorf("absint: pc %d executed but statically unreachable", pc)
 	}
 	for r := 0; r < isa.NumRegs; r++ {
@@ -235,13 +267,12 @@ func (a *AbsResult) Check(pc int, regs *[isa.NumRegs]uint32) error {
 }
 
 // Interpret runs the abstract interpreter over the CFG to a fixpoint
-// and returns the per-block and per-pc states. proc supplies the memory
-// size for address-range findings.
+// and returns the converged states. proc supplies the memory size for
+// address-range findings.
 func (c *CFG) Interpret(proc *procgen.Processor) *AbsResult {
 	res := &AbsResult{
 		CFG:      c,
 		In:       make([]*RegState, len(c.Blocks)),
-		at:       make([]*RegState, len(c.Prog.Code)),
 		deadEdge: make(map[edgeRef]bool),
 		memBytes: int64(proc.Config.MemBytes),
 	}
@@ -374,18 +405,22 @@ func (c *CFG) Interpret(proc *procgen.Processor) *AbsResult {
 		}
 	}
 
-	// Materialize per-pc pre-states and the final dead-edge set from the
-	// converged block states.
+	// Store the in-block checkpoints and the final dead-edge set from
+	// the converged block states.
+	res.ckpt = make([][]RegState, len(c.Blocks))
 	for _, blk := range c.Blocks {
 		if res.In[blk.ID] == nil {
 			continue
 		}
+		ckpt := make([]RegState, 0, (blk.End-blk.Start-1)/ckptStride)
 		out := *res.In[blk.ID]
 		for pc := blk.Start; pc < blk.End; pc++ {
-			st := out
-			res.at[pc] = &st
+			if pc > blk.Start && (pc-blk.Start)%ckptStride == 0 {
+				ckpt = append(ckpt, out)
+			}
 			transferRec(&out, &c.Plan.Recs[pc], pc)
 		}
+		res.ckpt[blk.ID] = ckpt
 		for i, e := range blk.Succs {
 			refined := out
 			if !refineEdge(&refined, c, blk, e.Kind) {
@@ -404,14 +439,14 @@ func (a *AbsResult) EdgeOut(from, idx int) *RegState {
 		return nil
 	}
 	blk := a.CFG.Blocks[from]
-	out := *a.In[from]
-	for pc := blk.Start; pc < blk.End; pc++ {
-		transferRec(&out, &a.CFG.Plan.Recs[pc], pc)
-	}
-	if !refineEdge(&out, a.CFG, blk, blk.Succs[idx].Kind) {
+	last := blk.End - 1
+	out := new(RegState)
+	a.stateAt(last, out)
+	transferRec(out, &a.CFG.Plan.Recs[last], last)
+	if !refineEdge(out, a.CFG, blk, blk.Succs[idx].Kind) {
 		return nil
 	}
-	return &out
+	return out
 }
 
 // refineEdge narrows st with the condition implied by taking an edge of
@@ -1157,41 +1192,51 @@ func analyzeValues(r *Report, proc *procgen.Processor) {
 		}
 	}
 
-	for pc := range r.CFG.Prog.Code {
-		st := abs.StateAt(pc)
-		if st == nil {
+	// Memory accesses: one running state per block, in pc order.
+	for _, blk := range r.CFG.Blocks {
+		if abs.In[blk.ID] == nil {
 			continue
 		}
-		rec := &pl.Recs[pc]
-		if !rec.Valid {
-			continue
+		st := *abs.In[blk.ID]
+		for pc := blk.Start; pc < blk.End; pc++ {
+			rec := &pl.Recs[pc]
+			checkAccess(r, abs.memBytes, pc, rec, &st)
+			transferRec(&st, rec, pc)
 		}
-		var addr Itv
-		var size int64
-		switch rec.Def.Class {
-		case isa.ClassLoad:
-			size = loadStoreSize(rec.Instr.Op)
-			if rec.Instr.Op == isa.OpL32R {
-				addr = itvConst(uint32(rec.Instr.Imm))
-			} else {
-				addr = modAdd(st.get(rec.Instr.Rs), itvConst(uint32(rec.Instr.Imm)))
-			}
-		case isa.ClassStore:
-			size = loadStoreSize(rec.Instr.Op)
+	}
+}
+
+// checkAccess reports a load or store at pc whose every possible address
+// under st is out of RAM or misaligned.
+func checkAccess(r *Report, memBytes int64, pc int, rec *plan.Rec, st *RegState) {
+	if !rec.Valid {
+		return
+	}
+	var addr Itv
+	var size int64
+	switch rec.Def.Class {
+	case isa.ClassLoad:
+		size = loadStoreSize(rec.Instr.Op)
+		if rec.Instr.Op == isa.OpL32R {
+			addr = itvConst(uint32(rec.Instr.Imm))
+		} else {
 			addr = modAdd(st.get(rec.Instr.Rs), itvConst(uint32(rec.Instr.Imm)))
-		default:
-			continue
 		}
-		switch {
-		case addr.Lo > abs.memBytes-size:
-			r.add("absint-mem-range", SevWarn, pc, int(rec.Instr.Rs),
-				"%s address is always out of RAM: addr in %v, memory is %d bytes",
-				rec.Instr.Op.Name(), addr, abs.memBytes)
-		case addr.IsConst() && addr.Lo%size != 0:
-			r.add("absint-mem-range", SevWarn, pc, int(rec.Instr.Rs),
-				"%s address %d is always misaligned for a %d-byte access",
-				rec.Instr.Op.Name(), addr.Lo, size)
-		}
+	case isa.ClassStore:
+		size = loadStoreSize(rec.Instr.Op)
+		addr = modAdd(st.get(rec.Instr.Rs), itvConst(uint32(rec.Instr.Imm)))
+	default:
+		return
+	}
+	switch {
+	case addr.Lo > memBytes-size:
+		r.add("absint-mem-range", SevWarn, pc, int(rec.Instr.Rs),
+			"%s address is always out of RAM: addr in %v, memory is %d bytes",
+			rec.Instr.Op.Name(), addr, memBytes)
+	case addr.IsConst() && addr.Lo%size != 0:
+		r.add("absint-mem-range", SevWarn, pc, int(rec.Instr.Rs),
+			"%s address %d is always misaligned for a %d-byte access",
+			rec.Instr.Op.Name(), addr.Lo, size)
 	}
 }
 
