@@ -35,11 +35,6 @@ import (
 	"xtenergy/internal/xlint"
 )
 
-// maxBuilds bounds the in-memory build cache: compiled (processor,
-// program) pairs — and through the program, its predecoded plan IR —
-// shared across requests that differ only in render parameters.
-const maxBuilds = 64
-
 // Options configures an Engine.
 type Options struct {
 	// Dir is the on-disk artifact store root; "" keeps the store
@@ -54,23 +49,16 @@ type Options struct {
 	OnCorrupt func(error)
 }
 
-// Engine resolves canonical requests against the artifact store and
-// shares compiled workload builds across them.
+// Engine resolves canonical requests against the artifact store. A
+// miss builds its workload afresh and keeps nothing of the build once
+// the artifact is stored, so the store's memory tier is all an engine
+// retains between requests.
 type Engine struct {
 	store *memo.Store
-
-	buildMu    sync.Mutex
-	builds     map[memo.Digest]*buildEntry
-	buildOrder []memo.Digest
 
 	// onCompute, when set, observes every pipeline execution (cache
 	// miss or bypass) by op name. Test seam for the herd assertions.
 	onCompute func(op string)
-}
-
-type buildEntry struct {
-	proc *procgen.Processor
-	prog *iss.Program
 }
 
 // New opens an engine over its artifact store.
@@ -81,7 +69,7 @@ func New(o Options) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Engine{store: st, builds: make(map[memo.Digest]*buildEntry)}, nil
+	return &Engine{store: st}, nil
 }
 
 // Counters snapshots the artifact store's accounting (hit / miss /
@@ -161,40 +149,6 @@ func resolve[A any](ctx context.Context, e *Engine, op string, req any, noCache 
 	return a, out, nil
 }
 
-// build returns the workload's compiled processor and assembled
-// program, shared across requests. The pair is read-only during
-// simulation (each Simulator owns its registers, memory, TIE state, and
-// cache models), and the program's predecoded plan is built once under
-// its own lock — so caching here shares the plan IR too.
-func (e *Engine) build(w core.Workload, cfg procgen.Config) (*procgen.Processor, *iss.Program, error) {
-	key, err := json.Marshal(buildReq{Workload: workloadRecord(w), Config: cfg})
-	if err != nil {
-		return w.Build(cfg)
-	}
-	d := memo.DigestBytes(key)
-	e.buildMu.Lock()
-	if ent, ok := e.builds[d]; ok {
-		e.buildMu.Unlock()
-		return ent.proc, ent.prog, nil
-	}
-	e.buildMu.Unlock()
-	proc, prog, err := w.Build(cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	e.buildMu.Lock()
-	if _, ok := e.builds[d]; !ok {
-		e.builds[d] = &buildEntry{proc: proc, prog: prog}
-		e.buildOrder = append(e.buildOrder, d)
-		if len(e.buildOrder) > maxBuilds {
-			delete(e.builds, e.buildOrder[0])
-			e.buildOrder = e.buildOrder[1:]
-		}
-	}
-	e.buildMu.Unlock()
-	return proc, prog, nil
-}
-
 // ---- ops ----
 
 // EstimateSpec is one reference power estimation request. Shards is a
@@ -221,7 +175,7 @@ func (e *Engine) Estimate(ctx context.Context, spec EstimateSpec) (*EstimateArti
 }
 
 func (e *Engine) computeEstimate(ctx context.Context, spec EstimateSpec) (*EstimateArtifact, error) {
-	proc, prog, err := e.build(spec.Workload, spec.Config)
+	proc, prog, err := spec.Workload.Build(spec.Config)
 	if err != nil {
 		return nil, err
 	}
@@ -283,7 +237,7 @@ func (e *Engine) Simulate(ctx context.Context, spec SimulateSpec) (*SimulateArti
 }
 
 func (e *Engine) computeSimulate(ctx context.Context, spec SimulateSpec) (*SimulateArtifact, error) {
-	proc, prog, err := e.build(spec.Workload, spec.Config)
+	proc, prog, err := spec.Workload.Build(spec.Config)
 	if err != nil {
 		return nil, err
 	}
@@ -328,7 +282,7 @@ func (e *Engine) computeLint(ctx context.Context, spec LintSpec) (*LintArtifact,
 	if cerr := ctx.Err(); cerr != nil {
 		return nil, &iss.Fault{Kind: iss.FaultCancelled, Prog: spec.Workload.Name, PC: -1, Msg: "lint cancelled", Err: cerr}
 	}
-	proc, prog, err := e.build(spec.Workload, spec.Config)
+	proc, prog, err := spec.Workload.Build(spec.Config)
 	if err != nil {
 		return nil, err
 	}

@@ -2,13 +2,19 @@ package engine
 
 import (
 	"context"
+	"fmt"
 	"io/fs"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
+	"runtime/metrics"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"xtenergy/internal/core"
 	"xtenergy/internal/iss"
 	"xtenergy/internal/memo"
 	"xtenergy/internal/procgen"
@@ -313,5 +319,61 @@ func TestCharacterizeCache(t *testing.T) {
 	spec.Opts.Partial = true
 	if _, out, err := e.Characterize(context.Background(), spec); err != nil || out != memo.OutcomeBypass {
 		t.Fatalf("partial run: %v, %v", out, err)
+	}
+}
+
+// straightSource returns a branch-free program of n seeded random ALU
+// instructions over a16..a27, followed by ret.
+func straightSource(seed int64, n int) string {
+	ops := []string{"add", "sub", "and", "or", "xor", "min", "maxu"}
+	rng := rand.New(rand.NewSource(seed))
+	reg := func() int { return 16 + rng.Intn(12) }
+	var b strings.Builder
+	b.WriteString("start:\n")
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&b, "    %s a%d, a%d, a%d\n", ops[rng.Intn(len(ops))], reg(), reg(), reg())
+	}
+	b.WriteString("    ret\n")
+	return b.String()
+}
+
+// liveHeap is the heap the last completed GC cycle found reachable,
+// read after forcing two cycles so sync.Pool victims are gone too.
+func liveHeap() int64 {
+	runtime.GC()
+	runtime.GC()
+	s := []metrics.Sample{{Name: "/gc/heap/live:bytes"}}
+	metrics.Read(s)
+	return int64(s[0].Value.Uint64())
+}
+
+// TestEngineKeepsNoBuilds pins what an engine retains between requests:
+// nothing of a miss's build. NoCache keeps the memo tier out of the
+// measurement, so once the misses return, their processors, programs
+// and plans must all be garbage.
+func TestEngineKeepsNoBuilds(t *testing.T) {
+	const (
+		misses = 80
+		instrs = 2000
+		slack  = 2 << 20
+	)
+	e := newEngine(t, Options{})
+	before := liveHeap()
+	for i := 0; i < misses; i++ {
+		w := core.Workload{Name: fmt.Sprintf("straight%d", i), Source: straightSource(int64(i), instrs)}
+		a, out, err := e.Simulate(context.Background(), SimulateSpec{Workload: w, Config: procgen.Default(), NoCache: true})
+		if err != nil || out != memo.OutcomeBypass {
+			t.Fatalf("miss %d: %v, %v", i, out, err)
+		}
+		if a.Instructions != instrs+1 {
+			t.Fatalf("miss %d ran %d instructions, want %d", i, a.Instructions, instrs+1)
+		}
+	}
+	grew := liveHeap() - before
+	runtime.KeepAlive(e)
+	t.Logf("live heap %+.2f MB after %d misses", float64(grew)/(1<<20), misses)
+	if grew > slack {
+		t.Fatalf("live heap grew by more than %d MB over %d NoCache misses of %d instructions",
+			slack>>20, misses, instrs)
 	}
 }

@@ -107,11 +107,6 @@ type characterizeReq struct {
 	Regress   regress.Options     `json:"regress"`
 }
 
-type buildReq struct {
-	Workload workloadRec    `json:"workload"`
-	Config   procgen.Config `json:"config"`
-}
-
 // workloadRec is the content identity of one workload: name, source
 // text, and the full TIE extension structure. Filenames play no part.
 type workloadRec struct {

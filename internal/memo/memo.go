@@ -269,9 +269,9 @@ func (s *Store) lead(ctx context.Context, d Digest, compute func(context.Context
 }
 
 // Get resolves d from the two tiers without computing: (nil, miss, nil)
-// on absence, a typed iss.Fault on a corrupt disk entry (which is also
-// counted and deleted). Mainly a test and inspection surface; Do is the
-// serving path.
+// on absence or an unreadable disk entry, a typed iss.Fault on a
+// corrupt one (which is also counted and deleted). Mainly a test and
+// inspection surface; Do is the serving path.
 func (s *Store) Get(d Digest) ([]byte, Outcome, error) {
 	s.mu.Lock()
 	if el, ok := s.idx[d]; ok {
@@ -350,8 +350,8 @@ func corruptf(d Digest, format string, args ...any) *iss.Fault {
 }
 
 // readDisk returns (nil, nil) when the disk tier is disabled or the
-// entry does not exist, the payload when it verifies, and a typed
-// iss.Fault (FaultArtifact) when the entry exists but is truncated,
+// entry cannot be read, the payload when it verifies, and a typed
+// iss.Fault (FaultArtifact) when the entry was read but is truncated,
 // misframed, or checksum-corrupt.
 func (s *Store) readDisk(d Digest) ([]byte, error) {
 	if s.dir == "" {
@@ -359,10 +359,11 @@ func (s *Store) readDisk(d Digest) ([]byte, error) {
 	}
 	raw, err := os.ReadFile(s.path(d))
 	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, nil
-		}
-		return nil, corruptf(d, "unreadable: %v", err)
+		// Absent, or unreadable for a reason that says nothing about
+		// the entry's bytes (EMFILE, EIO, EACCES): a miss, so a
+		// process out of descriptors never deletes valid artifacts.
+		// The recompute's writeDisk replaces the entry if it can.
+		return nil, nil
 	}
 	if len(raw) < diskHeaderSize {
 		return nil, corruptf(d, "truncated header: %d bytes", len(raw))

@@ -181,6 +181,50 @@ func TestCorruptEntriesRecompute(t *testing.T) {
 	}
 }
 
+// TestUnreadableEntryIsAMiss puts a directory where an entry belongs:
+// a read error that says nothing about the entry's bytes must be a
+// plain miss — recomputed, not counted corrupt, not deleted.
+func TestUnreadableEntryIsAMiss(t *testing.T) {
+	dir := t.TempDir()
+	var faults []error
+	s, err := New(Options{Dir: dir, OnCorrupt: func(err error) { faults = append(faults, err) }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := DigestBytes([]byte("req"))
+	if err := os.MkdirAll(s.path(d), 0o755); err != nil {
+		t.Fatal(err)
+	}
+
+	got, out, err := s.Do(context.Background(), d, func(context.Context) ([]byte, error) {
+		return []byte("payload"), nil
+	})
+	if err != nil || string(got) != "payload" || out != OutcomeMiss {
+		t.Fatalf("Do over an unreadable entry = %q, %v, %v", got, out, err)
+	}
+	if len(faults) != 0 {
+		t.Fatalf("OnCorrupt called for an unreadable entry: %v", faults)
+	}
+	if c := s.Counters(); c.Corrupt != 0 || c.Misses != 1 {
+		t.Fatalf("counters = %+v", c)
+	}
+	if fi, err := os.Stat(s.path(d)); err != nil || !fi.IsDir() {
+		t.Fatalf("the directory at the entry path is gone: %v", err)
+	}
+
+	// Get, through a fresh store so the memory tier cannot answer.
+	s2, err := New(Options{Dir: dir, OnCorrupt: func(err error) { faults = append(faults, err) }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, out, err := s2.Get(d); got != nil || out != OutcomeMiss || err != nil {
+		t.Fatalf("Get over an unreadable entry = %q, %v, %v", got, out, err)
+	}
+	if c := s2.Counters(); len(faults) != 0 || c.Corrupt != 0 {
+		t.Fatalf("Get counted an unreadable entry corrupt: %+v, %v", c, faults)
+	}
+}
+
 func TestThunderingHerdCoalesces(t *testing.T) {
 	s := newTestStore(t, t.TempDir())
 	d := DigestBytes([]byte("herd"))
