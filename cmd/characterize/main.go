@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	characterize [-fast] [-ridge λ] [-nonneg] [-timeout d] [-retries n] [-partial] [-j n]
+//	characterize [-fast] [-ridge λ] [-nonneg] [-timeout d] [-retries n] [-partial]
 //
 // Exit status: 0 on a clean run, 1 when -partial dropped failed
 // workloads (the failure report goes to stderr; stdout stays
@@ -39,7 +39,6 @@ func main() {
 	retries := flag.Int("retries", 0, "extra attempts for transiently-failing workloads")
 	backoff := flag.Duration("backoff", 0, "base delay between retry attempts, growing exponentially (0 = 100ms default, negative = retry immediately)")
 	partial := flag.Bool("partial", false, "drop failed workloads and fit on the survivors (degraded runs exit 1)")
-	jobs := flag.Int("j", 0, "concurrent workload measurements (0 = GOMAXPROCS)")
 	flag.Parse()
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -56,7 +55,6 @@ func main() {
 	suite.Retries = *retries
 	suite.Backoff = *backoff
 	suite.Partial = *partial
-	suite.Parallelism = *jobs
 
 	cr, err := suite.Characterization()
 	if err != nil {

@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	experiments [-fast] [-out file] [-j n] [table1|fig3|table2|fig4|speedup|ablation|config ...]
+//	experiments [-fast] [-out file] [table1|fig3|table2|fig4|speedup|ablation|config ...]
 //	experiments bench [-json BENCH_iss.json] [-benchtime 2s] [-check]
 //
 // With no arguments, all experiments run in order. The bench subcommand
@@ -30,7 +30,6 @@ import (
 func main() {
 	fast := flag.Bool("fast", false, "use the reduced-resolution reference model")
 	out := flag.String("out", "", "also write the report to this file")
-	jobs := flag.Int("j", 0, "concurrent workload measurements (0 = GOMAXPROCS)")
 	flag.Parse()
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -41,7 +40,6 @@ func main() {
 		suite = experiments.Fast()
 	}
 	suite.Ctx = ctx
-	suite.Parallelism = *jobs
 
 	which := flag.Args()
 	if len(which) > 0 && which[0] == "bench" {

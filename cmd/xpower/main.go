@@ -10,7 +10,7 @@
 //
 // Usage:
 //
-//	xpower [-fast] [-j shards] [-profile window] -w <workload>
+//	xpower [-fast] [-profile window] -w <workload>
 //	xpower -remote host:port|unix:<path> -w <workload>
 //	xpower -list
 package main
@@ -40,7 +40,6 @@ func run() error {
 	name := flag.String("w", "", "workload to analyze")
 	list := flag.Bool("list", false, "list available workloads")
 	profile := flag.Uint64("profile", 0, "also print a power-vs-time profile with this window (cycles)")
-	jobs := flag.Int("j", 1, "net-simulation shards per chunk (>1 spreads the jump-ahead lane walks over goroutines; bit-identical)")
 	remote := flag.String("remote", "", "send the request to a running xpowerd at this address (host:port or unix:<path>)")
 	noCache := flag.Bool("no-cache", false, "bypass the content-addressed artifact cache: always re-run the pipeline, read and write nothing")
 	flag.Parse()
@@ -65,7 +64,6 @@ func run() error {
 			Op:            xpowerd.OpEstimate,
 			Workload:      *name,
 			Fast:          *fast,
-			Shards:        *jobs,
 			ProfileWindow: *profile,
 			NoCache:       *noCache,
 		})
@@ -79,7 +77,6 @@ func run() error {
 	text, err := xpowerd.EstimateReport(ctx, xpowerd.EstimateParams{
 		Workload:      *name,
 		Fast:          *fast,
-		Shards:        *jobs,
 		ProfileWindow: *profile,
 		NoCache:       *noCache,
 	})

@@ -28,6 +28,7 @@ import (
 	"syscall"
 
 	"xtenergy/internal/core"
+	"xtenergy/internal/engine"
 	"xtenergy/internal/isa"
 	"xtenergy/internal/iss"
 	"xtenergy/internal/procgen"
@@ -182,11 +183,11 @@ func run() error {
 		}
 		fmt.Println()
 	}
+	vars, err := core.Extract(proc.TIE, &res.Stats)
+	if err != nil {
+		return err
+	}
 	if *asJSON {
-		vars, err := core.Extract(proc.TIE, &res.Stats)
-		if err != nil {
-			return err
-		}
 		named := map[string]float64{}
 		for i, v := range vars {
 			if v != 0 {
@@ -206,20 +207,7 @@ func run() error {
 		return enc.Encode(out)
 	}
 
-	fmt.Printf("workload %s (%d instructions)\n", w.Name, len(prog.Code))
-	fmt.Print(res.Stats.String())
-
-	if *showVars {
-		vars, err := core.Extract(proc.TIE, &res.Stats)
-		if err != nil {
-			return err
-		}
-		fmt.Println("macro-model variables:")
-		for i, v := range vars {
-			if v != 0 {
-				fmt.Printf("  %-20s %14.1f\n", core.VarName(i), v)
-			}
-		}
-	}
+	a := &engine.SimulateArtifact{Workload: w.Name, Instructions: len(prog.Code), Stats: res.Stats, Vars: vars}
+	fmt.Print(a.Render(*showVars))
 	return nil
 }

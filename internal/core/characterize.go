@@ -86,11 +86,6 @@ type Options struct {
 	// MeasureWorkload. This is the seam the internal/chaos harness
 	// injects failures through.
 	Measure MeasureFunc
-	// Parallelism bounds how many workload legs run concurrently;
-	// 0 (or negative) means runtime.GOMAXPROCS(0). 1 serializes the
-	// suite, which is useful when each leg is itself sharded
-	// (rtlpower.StreamEstimator.Shards) or when measuring.
-	Parallelism int
 }
 
 // Failure records one workload dropped from a partial characterization.
@@ -331,12 +326,8 @@ func Characterize(ctx context.Context, cfg procgen.Config, tech rtlpower.Technol
 	obs := make([]Observation, len(programs))
 	errs := make([]error, len(programs))
 	attempts := make([]int, len(programs))
-	par := opts.Parallelism
-	if par <= 0 {
-		par = runtime.GOMAXPROCS(0)
-	}
 	var wg sync.WaitGroup
-	sem := make(chan struct{}, par)
+	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
 	for i := range programs {
 		wg.Add(1)
 		go func(i int) {

@@ -332,15 +332,21 @@ func TestBreakdownSumsToEstimate(t *testing.T) {
 	}
 }
 
-// TestCharacterizeSerialIdentical pins Options.Parallelism: a fully
-// serialized run (Parallelism 1) must fit exactly the same model as the
-// default GOMAXPROCS-wide worker pool — worker scheduling cannot change
-// any measured energy, so the coefficients are bit-identical.
+// TestCharacterizeSerialIdentical pins that leg scheduling cannot
+// change the fit: a run whose legs are serialized through a mutex in
+// its Measure function must fit bit-identical coefficients to the
+// default GOMAXPROCS-wide worker pool.
 func TestCharacterizeSerialIdentical(t *testing.T) {
 	want := fastChar(t)
+	var mu sync.Mutex
+	serial := func(ctx context.Context, cfg procgen.Config, tech rtlpower.Technology, w core.Workload) (core.Measurement, error) {
+		mu.Lock()
+		defer mu.Unlock()
+		return core.MeasureWorkload(ctx, cfg, tech, w)
+	}
 	got, err := core.Characterize(context.Background(),
 		procgen.Default(), rtlpower.FastTechnology(),
-		workloads.CharacterizationSuite(), core.Options{Parallelism: 1})
+		workloads.CharacterizationSuite(), core.Options{Measure: serial})
 	if err != nil {
 		t.Fatal(err)
 	}

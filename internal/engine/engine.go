@@ -151,13 +151,12 @@ func resolve[A any](ctx context.Context, e *Engine, op string, req any, noCache 
 
 // ---- ops ----
 
-// EstimateSpec is one reference power estimation request. Shards is a
-// render-free performance knob (the sharded estimator is bit-identical)
-// and does not participate in the digest.
+// EstimateSpec is one reference power estimation request.
 type EstimateSpec struct {
-	Workload      core.Workload
-	Config        procgen.Config
-	Tech          rtlpower.Technology
+	Workload core.Workload
+	Config   procgen.Config
+	Tech     rtlpower.Technology
+	// Deprecated: ignored. Each estimation walks on one goroutine.
 	Shards        int
 	ProfileWindow uint64
 	NoCache       bool
@@ -184,10 +183,6 @@ func (e *Engine) computeEstimate(ctx context.Context, spec EstimateSpec) (*Estim
 		return nil, err
 	}
 	st := est.Stream()
-	st.Shards = spec.Shards
-	if st.Shards == 0 {
-		st.Shards = 1
-	}
 	var acc *rtlpower.ProfileAccumulator
 	if spec.ProfileWindow > 0 {
 		acc = rtlpower.NewProfileAccumulator(spec.ProfileWindow)

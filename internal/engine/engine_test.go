@@ -70,18 +70,6 @@ func TestEstimateColdWarmByteIdentity(t *testing.T) {
 	}
 }
 
-func TestShardsDoNotSplitTheCache(t *testing.T) {
-	e := newEngine(t, Options{})
-	spec := testSpec(t, "accumulate")
-	if _, out, err := e.Estimate(context.Background(), spec); err != nil || out != memo.OutcomeMiss {
-		t.Fatalf("cold: %v, %v", out, err)
-	}
-	spec.Shards = 4 // render-free performance knob: same digest
-	if _, out, err := e.Estimate(context.Background(), spec); err != nil || out != memo.OutcomeMemHit {
-		t.Fatalf("sharded request missed the cache: %v, %v", out, err)
-	}
-}
-
 func TestNoCacheForcesRecompute(t *testing.T) {
 	e := newEngine(t, Options{})
 	var computes atomic.Int64

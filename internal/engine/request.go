@@ -78,8 +78,8 @@ func binaryFingerprint() (string, error) {
 }
 
 // Per-op canonical request records. They cover everything that can
-// change the *artifact*; render-only parameters (xpower -j shards,
-// xsim -vars, xlint -notes) are deliberately absent so one artifact
+// change the *artifact*; render-only parameters (xsim -vars,
+// xlint -notes) are deliberately absent so one artifact
 // serves every rendering of the same computation.
 
 type estimateReq struct {

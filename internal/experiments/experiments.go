@@ -52,10 +52,6 @@ type Suite struct {
 	Retries int
 	Backoff time.Duration
 
-	// Parallelism bounds concurrent workload legs in characterization;
-	// 0 means runtime.GOMAXPROCS(0).
-	Parallelism int
-
 	charResult *core.CharacterizationResult
 	appObs     []appObservation
 }
@@ -72,12 +68,11 @@ func (s *Suite) context() context.Context {
 // suite's knobs.
 func (s *Suite) charOpts() core.Options {
 	return core.Options{
-		Regress:     s.Regress,
-		Partial:     s.Partial,
-		Timeout:     s.Timeout,
-		Retries:     s.Retries,
-		Backoff:     s.Backoff,
-		Parallelism: s.Parallelism,
+		Regress: s.Regress,
+		Partial: s.Partial,
+		Timeout: s.Timeout,
+		Retries: s.Retries,
+		Backoff: s.Backoff,
 	}
 }
 

@@ -7,11 +7,11 @@ import (
 
 // FuzzKernelDifferential decodes an arbitrary byte string into a chunk
 // schedule and checks every walker tier this host can run — portable
-// and SIMD alike, sharded and not — against the sequential scalar
-// chain: identical per-segment toggle counts and identical exit RNG
-// state. The decoder keeps every schedule inside the lane kernel's
-// contract (total draws in [laneMinDraws, maxChunkDraws)), which is
-// what consumeChunk guarantees in production.
+// and SIMD alike — against the sequential scalar chain: identical
+// per-segment toggle counts and identical exit RNG state. The decoder
+// keeps every schedule inside the lane kernel's contract (total draws
+// in [laneMinDraws, maxChunkDraws)), which is what consumeChunk
+// guarantees in production.
 func FuzzKernelDifferential(f *testing.F) {
 	f.Add([]byte{1}, uint32(1))
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}, uint32(0xdeadbeef))
@@ -48,17 +48,15 @@ func FuzzKernelDifferential(f *testing.F) {
 		want, wantState := seqScheduleCounts(seed, sc)
 
 		for _, k := range SupportedKernels() {
-			for shards := 1; shards <= 3; shards += 2 {
-				s := &StreamEstimator{rng: seed, Shards: shards, kernel: k}
-				s.countChunkLanes(sc)
-				for i := range want {
-					if sc.counts[i] != want[i] {
-						t.Fatalf("%s shards=%d: counts[%d] = %d, want %d", k, shards, i, sc.counts[i], want[i])
-					}
+			s := &StreamEstimator{rng: seed, kernel: k}
+			s.countChunkLanes(sc)
+			for i := range want {
+				if sc.counts[i] != want[i] {
+					t.Fatalf("%s: counts[%d] = %d, want %d", k, i, sc.counts[i], want[i])
 				}
-				if s.rng != wantState {
-					t.Fatalf("%s shards=%d: exit state %#x, want %#x", k, shards, s.rng, wantState)
-				}
+			}
+			if s.rng != wantState {
+				t.Fatalf("%s: exit state %#x, want %#x", k, s.rng, wantState)
 			}
 		}
 	})

@@ -8,9 +8,9 @@ package rtlpower
 // multiplication by M^k, computable in O(32·log k) word operations from
 // the precomputed binary powers M^(2^b) — no draw in between is ever
 // materialized. This is what lets the stream estimator cut one serial
-// RNG chain into independent lanes and shards whose start states are
-// exact, so the parallel walk enumerates bit-for-bit the same states as
-// the sequential reference walk.
+// RNG chain into independent lanes whose start states are exact, so
+// the lane walk enumerates bit-for-bit the same states as the
+// sequential reference walk.
 
 // xorshiftStep advances the toggle RNG by one draw. It must stay in
 // lockstep with the inline copies in simulateNets, the lane walkers,

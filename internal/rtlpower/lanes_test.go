@@ -316,9 +316,9 @@ func seqScheduleCounts(state uint32, sc *schedule) ([]uint32, uint32) {
 }
 
 // TestCountChunkLanesMatchesSequential checks the full lane kernel —
-// stripe clipping, jump-ahead start states, optional sharding — against
-// the sequential chain on random schedules: identical per-segment
-// counts and identical exit RNG state.
+// stripe clipping, jump-ahead start states — against the sequential
+// chain on random schedules: identical per-segment counts and identical
+// exit RNG state.
 func TestCountChunkLanesMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 60; trial++ {
@@ -347,18 +347,17 @@ func TestCountChunkLanesMatchesSequential(t *testing.T) {
 
 		seed := rng.Uint32() | 1
 		want, wantState := seqScheduleCounts(seed, sc)
-		shards := rng.Intn(5)
 
 		// Every tier the host can run — not just the default dispatch —
 		// must reproduce the sequential chain exactly.
 		for _, k := range SupportedKernels() {
-			s := &StreamEstimator{rng: seed, Shards: shards, kernel: k}
+			s := &StreamEstimator{rng: seed, kernel: k}
 			s.countChunkLanes(sc)
 
 			for i := range want {
 				if sc.counts[i] != want[i] {
-					t.Fatalf("trial %d (%s, shards=%d): counts[%d] = %d, want %d",
-						trial, k, shards, i, sc.counts[i], want[i])
+					t.Fatalf("trial %d (%s): counts[%d] = %d, want %d",
+						trial, k, i, sc.counts[i], want[i])
 				}
 			}
 			if s.rng != wantState {

@@ -46,15 +46,6 @@ type StreamEstimator struct {
 	// Used by the windowed power profile; leave nil otherwise.
 	OnEntry func(idx int, cycles uint64, pj float64)
 
-	// Shards enables the opt-in sharded kernel: when > 1, each chunk's
-	// draw chain is additionally split across up to Shards worker
-	// goroutines (each running its own lane walk from exact
-	// jump-ahead start states), giving multicore scaling on a single
-	// program. Per-segment toggle counts are integers and additive, so
-	// the result stays bit-identical to the single-goroutine walk.
-	// 0 or 1 leaves the kernel on the calling goroutine.
-	Shards int
-
 	rng      uint32
 	perBlock []float64
 	activity []int // active cycles per block for the current instruction
@@ -110,12 +101,6 @@ const (
 	// millions of draws in 256 entries, i.e. pathological per-entry
 	// cycle counts — take the sequential path instead.
 	maxChunkDraws = 1 << 30
-	// shardMinDraws is the chunk size below which goroutine fan-out
-	// isn't worth the synchronization.
-	shardMinDraws = 1 << 16
-	// shardMinLaneDraws keeps sharded stripes long enough that walker
-	// setup stays amortized, bounding the effective shard count.
-	shardMinLaneDraws = 512
 )
 
 // toggleThreshold maps a toggle probability to the strict upper bound
@@ -154,13 +139,12 @@ type schedule struct {
 	entCyc []uint32 // per entry: charged cycles
 	total  uint64   // chunk draw total
 
-	recs        []laneRec
-	laneEnd     []int32
-	laneStates  []uint32
-	walks       []walk8
-	walks16     []walk16
-	walks32     []walk32
-	shardCounts [][]uint32
+	recs       []laneRec
+	laneEnd    []int32
+	laneStates []uint32
+	walk8      walk8
+	walk16     walk16
+	walk32     walk32
 }
 
 // schedPool recycles schedule scratch across StreamEstimators. A
@@ -497,35 +481,21 @@ func (s *StreamEstimator) countChunkSeq(sc *schedule) {
 
 // countChunkLanes counts the chunk's schedule with the jump-ahead lane
 // kernel of the stream's tier: the draw chain is cut into equal
-// stripes (one per lane of the tier's width, one walk per shard),
-// segments are clipped at stripe boundaries into lane records, each
-// stripe's start state comes from JumpAhead, and the walks run
-// concurrently when sharding is enabled. Counts land in the same
-// per-segment slots the sequential walk fills, additively for
-// boundary-split segments, so the totals are identical integers
-// whatever the tier's lane count.
+// stripes (one per lane of the tier's width), segments are clipped at
+// stripe boundaries into lane records, and each stripe's start state
+// comes from JumpAhead. Counts land in the same per-segment slots the
+// sequential walk fills, additively for boundary-split segments, so
+// the totals are identical integers whatever the tier's lane count.
 //
 //xtenergy:hotpath
 func (s *StreamEstimator) countChunkLanes(sc *schedule) {
 	k := s.kernel
-	width := k.width()
+	lanes := k.width()
 	nseg := len(sc.segs)
 	sc.counts = sc.counts[:nseg]
 	for i := range sc.counts {
 		sc.counts[i] = 0
 	}
-
-	nWalks := 1
-	if s.Shards > 1 && sc.total >= shardMinDraws {
-		nWalks = s.Shards
-		if max := int(sc.total / uint64(width*shardMinLaneDraws)); nWalks > max {
-			nWalks = max
-		}
-		if nWalks < 1 {
-			nWalks = 1
-		}
-	}
-	lanes := nWalks * width
 	q := sc.total / uint64(lanes)
 
 	// Clip segments into per-lane record runs: lanes 0..lanes-2 own q
@@ -591,109 +561,39 @@ func (s *StreamEstimator) countChunkLanes(sc *schedule) {
 	sc.laneStates = states
 	s.rng = JumpAhead(s.rng, sc.total)
 
-	for len(sc.shardCounts) < nWalks-1 {
-		sc.shardCounts = append(sc.shardCounts, make([]uint32, 0, cap(sc.counts)))
-	}
-	switch width {
+	switch lanes {
 	case 32:
-		if cap(sc.walks32) < nWalks {
-			sc.walks32 = make([]walk32, nWalks)
-		}
-		sc.walks32 = sc.walks32[:nWalks]
-		for w := range sc.walks32 {
-			wk := &sc.walks32[w]
-			wk.recs, wk.counts = recs, sc.countsFor(w, nseg)
-			sc.fillLanes(w, width, wk.off[:], wk.cnt[:], wk.st[:])
-		}
+		w := &sc.walk32
+		w.recs, w.counts = sc.recs, sc.counts
+		sc.fillLanes(w.off[:], w.cnt[:], w.st[:])
+		countStripes32(w)
 	case 16:
-		if cap(sc.walks16) < nWalks {
-			sc.walks16 = make([]walk16, nWalks)
-		}
-		sc.walks16 = sc.walks16[:nWalks]
-		for w := range sc.walks16 {
-			wk := &sc.walks16[w]
-			wk.recs, wk.counts = recs, sc.countsFor(w, nseg)
-			sc.fillLanes(w, width, wk.off[:], wk.cnt[:], wk.st[:])
-		}
+		w := &sc.walk16
+		w.recs, w.counts = sc.recs, sc.counts
+		sc.fillLanes(w.off[:], w.cnt[:], w.st[:])
+		countStripes16(w)
 	default:
-		if cap(sc.walks) < nWalks {
-			sc.walks = make([]walk8, nWalks)
-		}
-		sc.walks = sc.walks[:nWalks]
-		for w := range sc.walks {
-			wk := &sc.walks[w]
-			wk.recs, wk.counts = recs, sc.countsFor(w, nseg)
-			sc.fillLanes(w, width, wk.off[:], wk.cnt[:], wk.st[:])
-		}
-	}
-
-	if nWalks == 1 {
-		sc.runWalk(0, width, k)
-		return
-	}
-	var wg sync.WaitGroup
-	for w := 1; w < nWalks; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			sc.runWalk(w, width, k)
-		}(w)
-	}
-	sc.runWalk(0, width, k)
-	wg.Wait()
-	for w := 1; w < nWalks; w++ {
-		cnts := sc.shardCounts[w-1]
-		for i := 0; i < nseg; i++ {
-			sc.counts[i] += cnts[i]
+		w := &sc.walk8
+		w.recs, w.counts = sc.recs, sc.counts
+		sc.fillLanes(w.off[:], w.cnt[:], w.st[:])
+		if k == KernelPortable {
+			countStripes8Go(w)
+		} else {
+			countStripes8(w)
 		}
 	}
 }
 
-// countsFor returns walk w's toggle-count destination: the schedule's
-// own counts for walk 0, a zeroed per-shard buffer otherwise.
-func (sc *schedule) countsFor(w, nseg int) []uint32 {
-	if w == 0 {
-		return sc.counts
-	}
-	cnts := sc.shardCounts[w-1]
-	if cap(cnts) < nseg {
-		cnts = make([]uint32, nseg)
-	}
-	cnts = cnts[:nseg]
-	for i := range cnts {
-		cnts[i] = 0
-	}
-	sc.shardCounts[w-1] = cnts
-	return cnts
-}
-
-// fillLanes wires one walk block's lane window onto the clipped record
-// runs and jump-ahead start states; the walk structs' fixed arrays are
+// fillLanes wires the walk's lane window onto the clipped record runs
+// and jump-ahead start states; the walk structs' fixed arrays are
 // passed as slices so the setup is shared across the per-width types.
-func (sc *schedule) fillLanes(w, width int, off, cnt, st []uint32) {
-	for j := 0; j < width; j++ {
-		l := w*width + j
-		start := int32(0)
-		if l > 0 {
-			start = sc.laneEnd[l-1]
-		}
-		off[j] = uint32(start)
-		cnt[j] = uint32(sc.laneEnd[l] - start)
-		st[j] = sc.laneStates[l]
-	}
-}
-
-// runWalk executes one walk block on tier k's stripe kernel.
-func (sc *schedule) runWalk(w, width int, k Kernel) {
-	switch {
-	case width == 32:
-		countStripes32(&sc.walks32[w])
-	case width == 16:
-		countStripes16(&sc.walks16[w])
-	case k == KernelPortable:
-		countStripes8Go(&sc.walks[w])
-	default:
-		countStripes8(&sc.walks[w])
+func (sc *schedule) fillLanes(off, cnt, st []uint32) {
+	start := int32(0)
+	for l := range off {
+		off[l] = uint32(start)
+		cnt[l] = uint32(sc.laneEnd[l] - start)
+		st[l] = sc.laneStates[l]
+		start = sc.laneEnd[l]
 	}
 }
 

@@ -46,7 +46,7 @@ type onEntryRec struct {
 
 // streamRun consumes trace through a fresh StreamEstimator on walker
 // tier k in ragged batches, recording every OnEntry callback.
-func streamRun(t *testing.T, proc *procgen.Processor, trace []iss.TraceEntry, k Kernel, shards int, seq bool) (Report, []onEntryRec) {
+func streamRun(t *testing.T, proc *procgen.Processor, trace []iss.TraceEntry, k Kernel, seq bool) (Report, []onEntryRec) {
 	t.Helper()
 	e, err := New(proc, FastTechnology())
 	if err != nil {
@@ -57,7 +57,6 @@ func streamRun(t *testing.T, proc *procgen.Processor, trace []iss.TraceEntry, k 
 	}
 	st := e.Stream()
 	st.forceSeq = seq
-	st.Shards = shards
 	var recs []onEntryRec
 	st.OnEntry = func(idx int, cycles uint64, pj float64) {
 		recs = append(recs, onEntryRec{idx, cycles, pj})
@@ -79,11 +78,10 @@ func streamRun(t *testing.T, proc *procgen.Processor, trace []iss.TraceEntry, k 
 }
 
 // TestStreamLanesMatchSequential is the end-to-end bit-exactness proof
-// for the lane kernel: the chunked jump-ahead path — single-walk and
-// sharded, on every walker tier this host runs — must produce a
-// Report, per-block energies, and per-entry OnEntry energies
-// bit-identical to the sequential reference path (forceSeq), which is
-// the pre-kernel simulateNets walk unchanged.
+// for the lane kernel: the chunked jump-ahead path, on every walker
+// tier this host runs, must produce a Report, per-block energies, and
+// per-entry OnEntry energies bit-identical to the sequential reference
+// path (forceSeq), which is the pre-kernel simulateNets walk unchanged.
 func TestStreamLanesMatchSequential(t *testing.T) {
 	proc, err := procgen.Generate(procgen.Default(), nil)
 	if err != nil {
@@ -98,24 +96,16 @@ func TestStreamLanesMatchSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	wantRep, wantRecs := streamRun(t, proc, res.Trace, KernelPortable, 0, true)
+	wantRep, wantRecs := streamRun(t, proc, res.Trace, KernelPortable, true)
 
-	for _, tc := range []struct {
-		name   string
-		shards int
-	}{
-		{"lanes", 0},
-		{"sharded", 3},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			for _, k := range SupportedKernels() {
-				t.Run(k.String(), func(t *testing.T) {
-					gotRep, gotRecs := streamRun(t, proc, res.Trace, k, tc.shards, false)
-					compareStreamRun(t, gotRep, wantRep, gotRecs, wantRecs)
-				})
-			}
-		})
-	}
+	t.Run("lanes", func(t *testing.T) {
+		for _, k := range SupportedKernels() {
+			t.Run(k.String(), func(t *testing.T) {
+				gotRep, gotRecs := streamRun(t, proc, res.Trace, k, false)
+				compareStreamRun(t, gotRep, wantRep, gotRecs, wantRecs)
+			})
+		}
+	})
 }
 
 // compareStreamRun requires a lane-path run to match the sequential

@@ -93,9 +93,7 @@ type EstimateParams struct {
 	Workload string
 	// Fast selects the reduced-resolution reference technology.
 	Fast bool
-	// Shards is StreamEstimator.Shards; 0 means 1 (sequential). Shards
-	// change nothing about the result (the sharded estimator is
-	// bit-identical), so they do not split the artifact cache.
+	// Deprecated: ignored. Each estimation walks on one goroutine.
 	Shards int
 	// ProfileWindow, when nonzero, appends the power-vs-time profile
 	// with that window in cycles.
@@ -106,7 +104,7 @@ type EstimateParams struct {
 }
 
 // EstimateReport runs (or recalls) one streamed reference estimation
-// and renders the exact report `xpower [-fast] [-j] [-profile]` prints
+// and renders the exact report `xpower [-fast] [-profile]` prints
 // for the same inputs. Cancelling ctx aborts at the next batch boundary
 // with a typed cancelled fault.
 func EstimateReport(ctx context.Context, p EstimateParams) (string, error) {
@@ -120,7 +118,7 @@ func EstimateReport(ctx context.Context, p EstimateParams) (string, error) {
 	}
 	a, _, err := Engine().Estimate(ctx, engine.EstimateSpec{
 		Workload: w, Config: procgen.Default(), Tech: tech,
-		Shards: p.Shards, ProfileWindow: p.ProfileWindow, NoCache: p.NoCache,
+		ProfileWindow: p.ProfileWindow, NoCache: p.NoCache,
 	})
 	if err != nil {
 		return "", err

@@ -61,6 +61,11 @@ func WriteFrame(w io.Writer, v any) error {
 	if err != nil {
 		return fmt.Errorf("xpowerd: encode frame: %w", err)
 	}
+	return writePayload(w, payload)
+}
+
+// writePayload writes an encoded payload as one length-prefixed frame.
+func writePayload(w io.Writer, payload []byte) error {
 	if uint64(len(payload)) > math.MaxUint32 {
 		return fmt.Errorf("xpowerd: frame payload of %d bytes overflows the length prefix", len(payload))
 	}
@@ -69,7 +74,7 @@ func WriteFrame(w io.Writer, v any) error {
 	if _, err := w.Write(hdr[:]); err != nil {
 		return err
 	}
-	_, err = w.Write(payload)
+	_, err := w.Write(payload)
 	return err
 }
 
@@ -133,8 +138,8 @@ type Request struct {
 	// Fast selects the reduced-resolution reference technology
 	// (estimate/profile only).
 	Fast bool `json:"fast,omitempty"`
-	// Shards is forwarded to rtlpower.StreamEstimator.Shards
-	// (estimate/profile only; 0 means sequential).
+	// Deprecated: ignored. Each estimation walks on one goroutine;
+	// the worker pool bounds how many run at once.
 	Shards int `json:"shards,omitempty"`
 	// ProfileWindow is the power-vs-time window in cycles. Required for
 	// profile; optional for estimate (appends the profile section,

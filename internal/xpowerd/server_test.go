@@ -3,8 +3,11 @@ package xpowerd_test
 import (
 	"context"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"net"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -184,6 +187,99 @@ func TestInvalidRequestsGetTypedErrors(t *testing.T) {
 				t.Fatalf("status = %d, want 2", resp.Status)
 			}
 		})
+	}
+}
+
+// TestOversizedResponseFailsInCap pins the response side of the frame
+// cap: a report that encodes past Config.MaxFrame comes back as an
+// invalid-request failure naming its size and the cap, and the session
+// stays in frame sync for the next request.
+func TestOversizedResponseFailsInCap(t *testing.T) {
+	addr, _ := startServer(t, nil)
+	client := dialClient(t, addr)
+
+	// A one-cycle profile window of rs_base renders about 4.4 MB.
+	resp, err := client.Do(context.Background(), &xpowerd.Request{
+		Op: xpowerd.OpEstimate, Workload: "rs_base", Fast: true, ProfileWindow: 1, NoCache: true,
+	})
+	var we *xpowerd.WireError
+	if !errors.As(err, &we) {
+		t.Fatalf("err = %v, want a WireError", err)
+	}
+	if we.Code != xpowerd.ErrCodeInvalid || !strings.Contains(we.Msg, fmt.Sprintf("cap %d", xpowerd.DefaultMaxFrame)) {
+		t.Fatalf("oversized response: code %q msg %q, want invalid naming the cap", we.Code, we.Msg)
+	}
+	if resp.Status != xpowerd.StatusFailed {
+		t.Fatalf("status = %d, want 2", resp.Status)
+	}
+
+	hresp, err := client.Do(context.Background(), &xpowerd.Request{Op: xpowerd.OpHealth})
+	if err != nil || hresp.Health == nil {
+		t.Fatalf("session out of frame sync after an oversized response: %v", err)
+	}
+}
+
+// TestEstimateShardsFieldIgnored pins that one request cannot fan out
+// past the worker pool: a raw "shards" field on the wire changes
+// neither the report nor the handful of goroutines an estimate runs on.
+func TestEstimateShardsFieldIgnored(t *testing.T) {
+	addr, _ := startServer(t, nil)
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	do := func(req map[string]any) xpowerd.Response {
+		t.Helper()
+		if err := xpowerd.WriteFrame(conn, req); err != nil {
+			t.Fatal(err)
+		}
+		payload, err := xpowerd.ReadFrame(conn, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var resp xpowerd.Response
+		if err := json.Unmarshal(payload, &resp); err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+
+	req := map[string]any{"op": "estimate", "workload": "accumulate", "fast": true, "no_cache": true}
+	plain := do(req)
+	if plain.Status != xpowerd.StatusOK || plain.Output == "" {
+		t.Fatalf("plain estimate: status %d, error %v", plain.Status, plain.Error)
+	}
+
+	req["shards"] = 1 << 20
+	base := runtime.NumGoroutine()
+	peak := base
+	stop, sampled := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(sampled)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if n := runtime.NumGoroutine(); n > peak {
+				peak = n
+			}
+			runtime.Gosched()
+		}
+	}()
+	sharded := do(req)
+	close(stop)
+	<-sampled
+
+	if sharded.Status != plain.Status || sharded.Output != plain.Output {
+		t.Fatalf("shards changed the response: status %d vs %d, outputs equal: %v",
+			sharded.Status, plain.Status, sharded.Output == plain.Output)
+	}
+	// The sampler itself is one of the goroutines counted.
+	if grow := peak - base - 1; grow > 16 {
+		t.Fatalf("goroutines grew by %d during one estimate, want <= 16", grow)
 	}
 }
 

@@ -65,9 +65,27 @@ func (ss *session) serve(ctx context.Context) {
 	}
 }
 
+// write sends resp as one frame under the write deadline. A response
+// that encodes past the frame cap is replaced by an invalid-request
+// failure naming both sizes: the peer's ReadFrame would reject the
+// oversized frame from its header and leave the payload unread in the
+// stream, so the session answers in-cap and stays in sync.
 func (ss *session) write(resp *Response) error {
+	payload, err := json.Marshal(resp)
+	if err != nil {
+		return err
+	}
+	if max := ss.srv.cfg.MaxFrame; uint64(len(payload)) > uint64(max) {
+		payload, err = json.Marshal(&Response{Status: StatusFailed, Error: &WireError{
+			Code: ErrCodeInvalid, PC: -1,
+			Msg: fmt.Sprintf("%v: response encodes to %d bytes, cap %d", ErrFrameTooLarge, len(payload), max),
+		}})
+		if err != nil {
+			return err
+		}
+	}
 	ss.conn.SetWriteDeadline(time.Now().Add(ss.srv.cfg.WriteTimeout))
-	return WriteFrame(ss.conn, resp)
+	return writePayload(ss.conn, payload)
 }
 
 // handle decodes and dispatches one request. The deferred recover is
@@ -159,7 +177,7 @@ func runOp(ctx context.Context, req *Request) (out string, status int, err error
 	case OpEstimate:
 		out, err = EstimateReport(ctx, EstimateParams{
 			Workload: req.Workload, Fast: req.Fast,
-			Shards: req.Shards, ProfileWindow: req.ProfileWindow, NoCache: req.NoCache,
+			ProfileWindow: req.ProfileWindow, NoCache: req.NoCache,
 		})
 	case OpProfile:
 		if req.ProfileWindow == 0 {
@@ -167,7 +185,7 @@ func runOp(ctx context.Context, req *Request) (out string, status int, err error
 		}
 		out, err = EstimateReport(ctx, EstimateParams{
 			Workload: req.Workload, Fast: req.Fast,
-			Shards: req.Shards, ProfileWindow: req.ProfileWindow, NoCache: req.NoCache,
+			ProfileWindow: req.ProfileWindow, NoCache: req.NoCache,
 		})
 	case OpSimulate:
 		out, err = SimulateReport(ctx, SimulateParams{
