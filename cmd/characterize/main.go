@@ -17,60 +17,40 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"os"
-	"os/signal"
-	"syscall"
 
-	"xtenergy/internal/core"
+	"xtenergy/internal/cli"
 	"xtenergy/internal/experiments"
 )
 
-func fail(err error) {
-	fmt.Fprintln(os.Stderr, "characterize:", err)
-	os.Exit(2)
-}
+var (
+	suiteFlags = cli.NewSuiteFlags(true)
+	ridge      = flag.Float64("ridge", 0, "ridge regularization strength for the regression")
+	nonneg     = flag.Bool("nonneg", false, "constrain energy coefficients to be nonnegative")
+	save       = flag.String("save", "", "write the characterized model to this JSON file")
+)
 
-func main() {
-	fast := flag.Bool("fast", false, "use the reduced-resolution reference model (quicker, slightly noisier)")
-	ridge := flag.Float64("ridge", 0, "ridge regularization strength for the regression")
-	nonneg := flag.Bool("nonneg", false, "constrain energy coefficients to be nonnegative")
-	save := flag.String("save", "", "write the characterized model to this JSON file")
-	timeout := flag.Duration("timeout", 0, "per-workload reference-measurement deadline (0 = none)")
-	retries := flag.Int("retries", 0, "extra attempts for transiently-failing workloads")
-	backoff := flag.Duration("backoff", 0, "base delay between retry attempts, growing exponentially (0 = 100ms default, negative = retry immediately)")
-	partial := flag.Bool("partial", false, "drop failed workloads and fit on the survivors (degraded runs exit 1)")
-	flag.Parse()
+func main() { cli.Main("characterize", run) }
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	suite := experiments.Default()
-	if *fast {
-		suite = experiments.Fast()
-	}
-	suite.Ctx = ctx
-	suite.Regress.Ridge = *ridge
-	suite.Regress.NonNegative = *nonneg
-	suite.Timeout = *timeout
-	suite.Retries = *retries
-	suite.Backoff = *backoff
-	suite.Partial = *partial
+func run(ctx context.Context) (int, error) {
+	suite := suiteFlags.Suite(ctx)
+	suite.Opts.Regress.Ridge = *ridge
+	suite.Opts.Regress.NonNegative = *nonneg
 
 	cr, err := suite.Characterization()
 	if err != nil {
-		fail(err)
+		return 0, err
 	}
 
 	rows, err := suite.Table1()
 	if err != nil {
-		fail(err)
+		return 0, err
 	}
 	fmt.Print(experiments.FormatTable1(rows))
 	fmt.Println()
 
 	fig3, err := suite.Fig3()
 	if err != nil {
-		fail(err)
+		return 0, err
 	}
 	fmt.Print(experiments.FormatFig3(fig3))
 	fmt.Printf("\nregression: %d observations, R^2 = %.4f, condition estimate = %.1f\n",
@@ -78,13 +58,9 @@ func main() {
 
 	if *save != "" {
 		if err := cr.Model.Save(*save); err != nil {
-			fail(err)
+			return 0, err
 		}
 		fmt.Println("model written to", *save)
 	}
-
-	if cr.Degraded() {
-		fmt.Fprint(os.Stderr, core.FormatFailures(cr.Failures))
-		os.Exit(1)
-	}
+	return cli.Degraded(cr), nil
 }

@@ -18,26 +18,23 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
+	"xtenergy/internal/cli"
 	"xtenergy/internal/core"
-	"xtenergy/internal/experiments"
 	"xtenergy/internal/workloads"
 )
 
-func main() {
-	degraded, err := run()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "estimate:", err)
-		os.Exit(2)
-	}
-	if degraded {
-		os.Exit(1)
-	}
-}
+var (
+	suiteFlags = cli.NewSuiteFlags(true)
+	withRef    = flag.Bool("ref", false, "also run the RTL-level reference estimator")
+	name       = flag.String("w", "", "workload to estimate")
+	list       = flag.Bool("list", false, "list estimable workloads")
+	modelPath  = flag.String("model", "", "load a characterized model from this JSON file instead of re-characterizing")
+	breakdown  = flag.Bool("breakdown", false, "print the estimate's per-term decomposition")
+)
+
+func main() { cli.Main("estimate", run) }
 
 func candidates() []core.Workload {
 	var ws []core.Workload
@@ -47,73 +44,26 @@ func candidates() []core.Workload {
 	return ws
 }
 
-func run() (degraded bool, err error) {
-	fast := flag.Bool("fast", false, "use the reduced-resolution reference model")
-	withRef := flag.Bool("ref", false, "also run the RTL-level reference estimator")
-	name := flag.String("w", "", "workload to estimate")
-	list := flag.Bool("list", false, "list estimable workloads")
-	modelPath := flag.String("model", "", "load a characterized model from this JSON file instead of re-characterizing")
-	breakdown := flag.Bool("breakdown", false, "print the estimate's per-term decomposition")
-	timeout := flag.Duration("timeout", 0, "per-workload characterization deadline (0 = none)")
-	retries := flag.Int("retries", 0, "extra attempts for transiently-failing characterization workloads")
-	backoff := flag.Duration("backoff", 0, "base delay between retry attempts, growing exponentially (0 = 100ms default, negative = retry immediately)")
-	partial := flag.Bool("partial", false, "characterize on the surviving workloads when some fail (degraded runs exit 1)")
-	flag.Parse()
-
+func run(ctx context.Context) (int, error) {
 	if *list {
-		for _, w := range candidates() {
-			fmt.Println(w.Name)
-		}
-		return false, nil
+		cli.List(candidates(), false)
+		return 0, nil
 	}
-	var w core.Workload
-	found := false
-	for _, cand := range candidates() {
-		if cand.Name == *name {
-			w, found = cand, true
-			break
-		}
-	}
-	if !found {
-		return false, fmt.Errorf("unknown workload %q (try -list)", *name)
+	w, err := cli.Lookup(candidates(), *name)
+	if err != nil {
+		return 0, err
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	suite := experiments.Default()
-	if *fast {
-		suite = experiments.Fast()
-	}
-	suite.Ctx = ctx
-	suite.Timeout = *timeout
-	suite.Retries = *retries
-	suite.Backoff = *backoff
-	suite.Partial = *partial
-	var model *core.MacroModel
-	if *modelPath != "" {
-		m, err := core.LoadModel(*modelPath)
-		if err != nil {
-			return false, err
-		}
-		model = m
-	} else {
-		fmt.Println("characterizing the processor (one-time cost per configuration)...")
-		cr, err := suite.Characterization()
-		if err != nil {
-			return false, err
-		}
-		if cr.Degraded() {
-			degraded = true
-			fmt.Fprint(os.Stderr, core.FormatFailures(cr.Failures))
-		}
-		model = cr.Model
+	suite := suiteFlags.Suite(ctx)
+	model, status, err := cli.Model(suite, *modelPath)
+	if err != nil {
+		return 0, err
 	}
 
 	start := time.Now()
 	est, err := model.EstimateWorkload(suite.Config, w)
 	if err != nil {
-		return degraded, err
+		return 0, err
 	}
 	estTime := time.Since(start)
 	fmt.Printf("macro-model estimate: %.3f uJ over %d cycles (%.1f mW at %.0f MHz) in %v\n",
@@ -130,7 +80,7 @@ func run() (degraded bool, err error) {
 		start = time.Now()
 		ref, err := core.ReferenceEnergy(ctx, suite.Config, suite.Tech, w)
 		if err != nil {
-			return degraded, err
+			return 0, err
 		}
 		refTime := time.Since(start)
 		errPct := 100 * (est.EnergyPJ - ref.EnergyPJ) / ref.EnergyPJ
@@ -138,5 +88,5 @@ func run() (degraded bool, err error) {
 		fmt.Printf("error: %+.1f%%, reference/macro time ratio: %.0fx\n",
 			errPct, float64(refTime)/float64(estTime))
 	}
-	return degraded, nil
+	return status, nil
 }

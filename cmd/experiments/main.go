@@ -20,58 +20,46 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 
+	"xtenergy/internal/cli"
 	"xtenergy/internal/experiments"
 )
 
-func main() {
-	fast := flag.Bool("fast", false, "use the reduced-resolution reference model")
-	out := flag.String("out", "", "also write the report to this file")
-	flag.Parse()
+var (
+	suiteFlags = cli.NewSuiteFlags(false)
+	out        = flag.String("out", "", "also write the report to this file")
+)
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
+func main() { cli.Main("experiments", run) }
 
-	suite := experiments.Default()
-	if *fast {
-		suite = experiments.Fast()
-	}
-	suite.Ctx = ctx
-
+func run(ctx context.Context) (int, error) {
 	which := flag.Args()
 	if len(which) > 0 && which[0] == "bench" {
-		if err := runBench(which[1:]); err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
-		}
-		return
+		return 0, runBench(which[1:])
 	}
 	if len(which) == 0 {
 		which = []string{"table1", "fig3", "table2", "fig4", "speedup", "ablation", "config", "validation", "loocv", "stability", "sabotage"}
 	}
 
+	suite := suiteFlags.Suite(ctx)
 	var report strings.Builder
 	w := io.MultiWriter(os.Stdout, &report)
-
 	for _, name := range which {
 		text, err := runOne(suite, name)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
+			return 0, err
 		}
 		fmt.Fprintln(w, text)
 	}
 
 	if *out != "" {
 		if err := os.WriteFile(*out, []byte(report.String()), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
+			return 0, err
 		}
 		fmt.Fprintln(os.Stderr, "report written to", *out)
 	}
+	return 0, nil
 }
 
 func runOne(suite *experiments.Suite, name string) (string, error) {

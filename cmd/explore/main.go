@@ -17,39 +17,23 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"os"
-	"os/signal"
-	"syscall"
 
+	"xtenergy/internal/cli"
 	"xtenergy/internal/core"
-	"xtenergy/internal/engine"
 	"xtenergy/internal/experiments"
 	"xtenergy/internal/explore"
 	"xtenergy/internal/procgen"
-	"xtenergy/internal/rtlpower"
 	"xtenergy/internal/workloads"
 )
 
-func main() {
-	if err := run(); err != nil {
-		fmt.Fprintln(os.Stderr, "explore:", err)
-		os.Exit(1)
-	}
-}
+var (
+	suiteFlags = cli.NewSuiteFlags(false)
+	modelPath  = flag.String("model", "", "load a characterized model instead of re-characterizing")
+)
 
-func run() error {
-	fast := flag.Bool("fast", false, "use the reduced-resolution reference model for characterization")
-	modelPath := flag.String("model", "", "load a characterized model instead of re-characterizing")
-	flag.Parse()
+func main() { cli.Main("explore", run) }
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	tech := rtlpower.DefaultTechnology()
-	if *fast {
-		tech = rtlpower.FastTechnology()
-	}
-
+func run(ctx context.Context) (int, error) {
 	// The macro-model is per base configuration (see the config
 	// sensitivity experiment), so each configuration in the sweep gets
 	// its own characterization — still a one-time cost per family.
@@ -58,7 +42,7 @@ func run() error {
 	if *modelPath != "" {
 		m, err := core.LoadModel(*modelPath)
 		if err != nil {
-			return err
+			return 0, err
 		}
 		for _, cfg := range configs {
 			models[cfg.Name] = m
@@ -67,15 +51,15 @@ func run() error {
 	} else {
 		for _, cfg := range configs {
 			fmt.Printf("characterizing %s...\n", cfg.Name)
-			// Resolved through the content-addressed engine: a sweep
-			// re-run (or any other tool characterizing the same family)
-			// recalls the fitted model instead of re-simulating the
-			// 25-program suite.
-			cr, _, err := engine.Default().Characterize(ctx, engine.CharacterizeSpec{
-				Config: cfg, Tech: tech, Workloads: workloads.CharacterizationSuite(),
-			})
+			// The suite resolves through the content-addressed engine:
+			// a sweep re-run (or any other tool characterizing the same
+			// family) recalls the fitted model instead of re-simulating
+			// the 25-program suite.
+			suite := suiteFlags.Suite(ctx)
+			suite.Config = cfg
+			cr, err := suite.Characterization()
 			if err != nil {
-				return err
+				return 0, err
 			}
 			models[cfg.Name] = cr.Model
 		}
@@ -89,7 +73,7 @@ func run() error {
 		}
 		ps, err := explore.Evaluate(models[cfg.Name], cands)
 		if err != nil {
-			return err
+			return 0, err
 		}
 		points = append(points, ps...)
 	}
@@ -110,5 +94,5 @@ func run() error {
 	if best, err := explore.MinEDP(points); err == nil {
 		fmt.Printf("lowest EDP:    %s on %s\n", best.Name, best.Config.Name)
 	}
-	return nil
+	return 0, nil
 }

@@ -15,35 +15,26 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
-	"syscall"
 
 	"xtenergy/internal/analyzers"
+	"xtenergy/internal/cli"
 )
 
-func main() {
-	os.Exit(run())
-}
+var list = flag.Bool("list", false, "list the analyzers and exit")
 
-func run() int {
-	list := flag.Bool("list", false, "list the analyzers and exit")
-	flag.Parse()
+func main() { cli.Main("xanalyze", run) }
 
+func run(ctx context.Context) (int, error) {
 	if *list {
 		for _, a := range analyzers.All() {
 			fmt.Printf("%-10s %s\n", a.Name, a.Doc)
 		}
-		return 0
+		return 0, nil
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	patterns := flag.Args()
-	pkgs, err := analyzers.LoadContext(ctx, ".", patterns...)
+	pkgs, err := analyzers.LoadContext(ctx, ".", flag.Args()...)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
+		return 0, err
 	}
 
 	findings := 0
@@ -58,7 +49,7 @@ func run() int {
 	}
 	if findings > 0 {
 		fmt.Fprintf(os.Stderr, "xanalyze: %d finding(s)\n", findings)
-		return 1
+		return 1, nil
 	}
-	return 0
+	return 0, nil
 }

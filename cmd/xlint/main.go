@@ -29,11 +29,9 @@ import (
 	"fmt"
 	"math"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
-	"time"
 
+	"xtenergy/internal/cli"
 	"xtenergy/internal/core"
 	"xtenergy/internal/procgen"
 	"xtenergy/internal/workloads"
@@ -41,115 +39,68 @@ import (
 	"xtenergy/internal/xpowerd"
 )
 
-func main() {
-	code, err := run()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "xlint:", err)
-	}
-	os.Exit(code)
-}
+var (
+	list      = flag.Bool("list", false, "list built-in workloads")
+	name      = flag.String("w", "", "analyze the named built-in workload")
+	asJSON    = flag.Bool("json", false, "emit findings (and bounds) as JSON")
+	energy    = flag.Bool("energy-bounds", false, "compute static per-invocation energy bounds")
+	wcec      = flag.Bool("wcec", false, "compute concrete WCEC/BCEC with inferred loop trip counts")
+	modelPath = flag.String("model", "", "fitted macro-model JSON for -energy-bounds (default: unit coefficients)")
+	notes     = flag.Bool("notes", false, "also print note-severity findings")
+	disable   = flag.String("disable", "", "comma-separated finding codes to suppress")
+	remote    = flag.String("remote", "", "send the request to a running xpowerd at this address (host:port or unix:<path>; default text mode only)")
+	noCache   = flag.Bool("no-cache", false, "bypass the content-addressed artifact cache (default text mode; the json/energy/wcec modes never cache)")
+)
 
-func run() (int, error) {
-	list := flag.Bool("list", false, "list built-in workloads")
-	name := flag.String("w", "", "analyze the named built-in workload")
-	asJSON := flag.Bool("json", false, "emit findings (and bounds) as JSON")
-	energy := flag.Bool("energy-bounds", false, "compute static per-invocation energy bounds")
-	wcec := flag.Bool("wcec", false, "compute concrete WCEC/BCEC with inferred loop trip counts")
-	modelPath := flag.String("model", "", "fitted macro-model JSON for -energy-bounds (default: unit coefficients)")
-	notes := flag.Bool("notes", false, "also print note-severity findings")
-	disable := flag.String("disable", "", "comma-separated finding codes to suppress")
-	remote := flag.String("remote", "", "send the request to a running xpowerd at this address (host:port or unix:<path>; default text mode only)")
-	noCache := flag.Bool("no-cache", false, "bypass the content-addressed artifact cache (default text mode; the json/energy/wcec modes never cache)")
-	flag.Parse()
+func main() { cli.Main("xlint", run) }
 
+func run(ctx context.Context) (int, error) {
 	if *list {
-		for _, w := range workloads.All() {
-			ext := "base"
-			if w.Ext != nil {
-				ext = "tie:" + w.Ext.Name
-			}
-			fmt.Printf("%-24s %s\n", w.Name, ext)
-		}
+		cli.List(workloads.All(), true)
 		return 0, nil
 	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
 	var disabled []string
 	if *disable != "" {
 		disabled = strings.Split(*disable, ",")
 	}
-
-	var wlName, source, sourceName string
-	switch {
-	case *name != "":
-		wlName = *name
-	case flag.NArg() == 1:
-		src, err := os.ReadFile(flag.Arg(0))
-		if err != nil {
-			return 2, err
-		}
-		source, sourceName = string(src), flag.Arg(0)
-	default:
-		flag.Usage()
-		return 2, fmt.Errorf("need -list, -w <name>, or an assembly file")
+	p, err := cli.ProgramArg(*name)
+	if err != nil {
+		return 0, err
 	}
 
 	if *remote != "" {
 		if *asJSON || *energy || *wcec {
-			return 2, fmt.Errorf("-remote supports the default text mode only")
+			return 0, fmt.Errorf("-remote supports the default text mode only")
 		}
-		client, err := xpowerd.Dial(*remote, 5*time.Second)
-		if err != nil {
-			return 2, err
-		}
-		defer client.Close()
-		resp, err := client.Do(ctx, &xpowerd.Request{
-			Op: xpowerd.OpLint, Workload: wlName, Source: source, SourceName: sourceName,
+		return cli.Remote(ctx, *remote, &xpowerd.Request{
+			Op: xpowerd.OpLint, Workload: p.Workload, Source: p.Source, SourceName: p.SourceName,
 			Notes: *notes, Disable: disabled, NoCache: *noCache,
 		})
-		if err != nil {
-			return 2, err
-		}
-		fmt.Print(resp.Output)
-		return resp.Status, nil
 	}
 
 	// The plain text mode renders through the daemon-shared entry
 	// point; the json/energy/wcec modes keep their richer local flow.
 	if !*asJSON && !*energy && !*wcec {
 		text, status, err := xpowerd.LintReport(ctx, xpowerd.LintParams{
-			Workload: wlName, Source: source, SourceName: sourceName, Notes: *notes,
+			Workload: p.Workload, Source: p.Source, SourceName: p.SourceName, Notes: *notes,
 			Disable: disabled, NoCache: *noCache,
 		})
 		if err != nil {
-			return 2, err
+			return 0, err
 		}
 		fmt.Print(text)
 		return status, nil
 	}
 
-	var w core.Workload
-	if wlName != "" {
-		var found bool
-		w, found = workloads.ByName(wlName)
-		if !found {
-			return 2, fmt.Errorf("unknown workload %q (try -list)", wlName)
-		}
-	} else {
-		w = core.Workload{Name: sourceName, Source: source}
-	}
-
-	proc, prog, err := w.Build(procgen.Default())
+	proc, prog, err := p.Build()
 	if err != nil {
-		return 2, err
+		return 0, err
 	}
 
 	var opts []xlint.Option
 	if len(disabled) > 0 {
 		if err := xlint.ValidateCodes(disabled); err != nil {
-			return 2, err
+			return 0, err
 		}
 		opts = append(opts, xlint.Disable(disabled...))
 	}

@@ -19,59 +19,36 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"os"
-	"os/signal"
-	"syscall"
-	"time"
 
+	"xtenergy/internal/cli"
 	"xtenergy/internal/workloads"
 	"xtenergy/internal/xpowerd"
 )
 
-func main() {
-	if err := run(); err != nil {
-		fmt.Fprintln(os.Stderr, "xpower:", err)
-		os.Exit(1)
-	}
-}
+var (
+	fast    = flag.Bool("fast", false, "use the reduced-resolution reference model")
+	name    = flag.String("w", "", "workload to analyze")
+	list    = flag.Bool("list", false, "list available workloads")
+	profile = flag.Uint64("profile", 0, "also print a power-vs-time profile with this window (cycles)")
+	remote  = flag.String("remote", "", "send the request to a running xpowerd at this address (host:port or unix:<path>)")
+	noCache = flag.Bool("no-cache", false, "bypass the content-addressed artifact cache: always re-run the pipeline, read and write nothing")
+)
 
-func run() error {
-	fast := flag.Bool("fast", false, "use the reduced-resolution reference model")
-	name := flag.String("w", "", "workload to analyze")
-	list := flag.Bool("list", false, "list available workloads")
-	profile := flag.Uint64("profile", 0, "also print a power-vs-time profile with this window (cycles)")
-	remote := flag.String("remote", "", "send the request to a running xpowerd at this address (host:port or unix:<path>)")
-	noCache := flag.Bool("no-cache", false, "bypass the content-addressed artifact cache: always re-run the pipeline, read and write nothing")
-	flag.Parse()
+func main() { cli.Main("xpower", run) }
 
+func run(ctx context.Context) (int, error) {
 	if *list {
-		for _, w := range workloads.All() {
-			fmt.Println(w.Name)
-		}
-		return nil
+		cli.List(workloads.All(), false)
+		return 0, nil
 	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
 	if *remote != "" {
-		client, err := xpowerd.Dial(*remote, 5*time.Second)
-		if err != nil {
-			return err
-		}
-		defer client.Close()
-		resp, err := client.Do(ctx, &xpowerd.Request{
+		return cli.Remote(ctx, *remote, &xpowerd.Request{
 			Op:            xpowerd.OpEstimate,
 			Workload:      *name,
 			Fast:          *fast,
 			ProfileWindow: *profile,
 			NoCache:       *noCache,
 		})
-		if err != nil {
-			return err
-		}
-		fmt.Print(resp.Output)
-		return nil
 	}
 
 	text, err := xpowerd.EstimateReport(ctx, xpowerd.EstimateParams{
@@ -81,8 +58,8 @@ func run() error {
 		NoCache:       *noCache,
 	})
 	if err != nil {
-		return err
+		return 0, err
 	}
 	fmt.Print(text)
-	return nil
+	return 0, nil
 }

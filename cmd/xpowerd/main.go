@@ -24,27 +24,32 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
+	"xtenergy/internal/cli"
 	"xtenergy/internal/engine"
 	"xtenergy/internal/xpowerd"
 )
 
-func main() {
-	listen := flag.String("listen", "127.0.0.1:7433", "TCP listen address (empty disables TCP)")
-	unix := flag.String("unix", "", "unix-socket path (empty disables the socket)")
-	workers := flag.Int("workers", 0, "concurrent pipeline runs (0 = GOMAXPROCS)")
-	queue := flag.Int("queue", 0, "admission-queue depth beyond the workers (0 = 2x workers)")
-	maxConns := flag.Int("max-conns", 0, "open-session limit (0 = 64)")
-	readTimeout := flag.Duration("read-timeout", 0, "per-frame read deadline (0 = 30s)")
-	writeTimeout := flag.Duration("write-timeout", 0, "per-response write deadline (0 = 30s)")
-	drain := flag.Duration("drain", 0, "graceful-drain deadline on SIGTERM (0 = 15s)")
-	memoDir := flag.String("memo-dir", "", "artifact-cache directory (empty = $XTENERGY_MEMO_DIR or the user cache dir; \"off\" = memory-only)")
-	quiet := flag.Bool("quiet", false, "suppress operational logging")
-	flag.Parse()
+var (
+	listen       = flag.String("listen", "127.0.0.1:7433", "TCP listen address (empty disables TCP)")
+	unix         = flag.String("unix", "", "unix-socket path (empty disables the socket)")
+	workers      = flag.Int("workers", 0, "concurrent pipeline runs (0 = GOMAXPROCS)")
+	queue        = flag.Int("queue", 0, "admission-queue depth beyond the workers (0 = 2x workers)")
+	maxConns     = flag.Int("max-conns", 0, "open-session limit (0 = 64)")
+	readTimeout  = flag.Duration("read-timeout", 0, "per-frame read deadline (0 = 30s)")
+	writeTimeout = flag.Duration("write-timeout", 0, "per-response write deadline (0 = 30s)")
+	drain        = flag.Duration("drain", 0, "graceful-drain deadline on SIGTERM (0 = 15s)")
+	memoDir      = flag.String("memo-dir", "", "artifact-cache directory (empty = $XTENERGY_MEMO_DIR or the user cache dir; \"off\" = memory-only)")
+	quiet        = flag.Bool("quiet", false, "suppress operational logging")
+)
 
+// The context cli.Main hands to run is the drain trigger: the first
+// SIGINT/SIGTERM cancels it, and a second one kills the process, so a
+// wedged drain can always be escalated.
+func main() { cli.Main("xpowerd", run) }
+
+func run(ctx context.Context) (int, error) {
 	logger := log.New(os.Stderr, "", log.LstdFlags)
 	logf := logger.Printf
 	if *quiet {
@@ -57,8 +62,7 @@ func main() {
 		}
 		eng, err := engine.New(engine.Options{Dir: dir})
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "xpowerd:", err)
-			os.Exit(2)
+			return 0, err
 		}
 		xpowerd.SetEngine(eng)
 	}
@@ -74,24 +78,15 @@ func main() {
 		Logf:         logf,
 	})
 	if err := srv.Listen(); err != nil {
-		fmt.Fprintln(os.Stderr, "xpowerd:", err)
-		os.Exit(2)
+		return 0, err
 	}
-
-	// SIGINT/SIGTERM cancels ctx, which is the daemon's drain trigger;
-	// a second signal kills the process the default way (stop releases
-	// the handler), so a wedged drain can always be escalated.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	go func() {
-		<-ctx.Done()
-		stop()
-	}()
 
 	start := time.Now()
 	if err := srv.Serve(ctx); err != nil {
+		// A forced drain, or a listener that failed while serving.
 		fmt.Fprintln(os.Stderr, "xpowerd:", err)
-		os.Exit(1)
+		return 1, nil
 	}
 	logger.Printf("xpowerd: clean shutdown after %v", time.Since(start).Round(time.Millisecond))
+	return 0, nil
 }

@@ -14,78 +14,52 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"os"
-	"os/signal"
-	"syscall"
 
-	"xtenergy/internal/core"
-	"xtenergy/internal/experiments"
+	"xtenergy/internal/cli"
 	"xtenergy/internal/iss"
 	"xtenergy/internal/profiler"
 	"xtenergy/internal/workloads"
 )
 
-func main() {
-	if err := run(); err != nil {
-		fmt.Fprintln(os.Stderr, "xprofile:", err)
-		os.Exit(1)
-	}
-}
+var (
+	suiteFlags = cli.NewSuiteFlags(false)
+	modelPath  = flag.String("model", "", "load a characterized model instead of re-characterizing")
+	name       = flag.String("w", "", "workload to profile")
+	top        = flag.Int("top", 10, "number of hottest instructions to print")
+	list       = flag.Bool("list", false, "list available workloads")
+)
 
-func run() error {
-	fast := flag.Bool("fast", false, "use the reduced-resolution reference model for characterization")
-	modelPath := flag.String("model", "", "load a characterized model instead of re-characterizing")
-	name := flag.String("w", "", "workload to profile")
-	top := flag.Int("top", 10, "number of hottest instructions to print")
-	list := flag.Bool("list", false, "list available workloads")
-	flag.Parse()
+func main() { cli.Main("xprofile", run) }
 
+func run(ctx context.Context) (int, error) {
 	if *list {
 		for _, n := range workloads.Names() {
 			fmt.Println(n)
 		}
-		return nil
+		return 0, nil
 	}
-	w, ok := workloads.ByName(*name)
-	if !ok {
-		return fmt.Errorf("unknown workload %q (try -list)", *name)
+	w, err := cli.Lookup(workloads.All(), *name)
+	if err != nil {
+		return 0, err
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	suite := experiments.Default()
-	if *fast {
-		suite = experiments.Fast()
-	}
-	suite.Ctx = ctx
-	var model *core.MacroModel
-	if *modelPath != "" {
-		m, err := core.LoadModel(*modelPath)
-		if err != nil {
-			return err
-		}
-		model = m
-	} else {
-		fmt.Println("characterizing the processor (one-time cost per configuration)...")
-		cr, err := suite.Characterization()
-		if err != nil {
-			return err
-		}
-		model = cr.Model
+	suite := suiteFlags.Suite(ctx)
+	model, _, err := cli.Model(suite, *modelPath)
+	if err != nil {
+		return 0, err
 	}
 
 	proc, prog, err := w.Build(suite.Config)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	res, err := iss.New(proc).RunContext(ctx, prog, iss.Options{CollectTrace: true})
 	if err != nil {
-		return err
+		return 0, err
 	}
 	rep, err := profiler.Profile(model, proc, prog, res.Trace)
 	if err != nil {
-		return err
+		return 0, err
 	}
 
 	fmt.Printf("\nworkload %s: %d retired instructions, %d cycles\n\n",
@@ -93,5 +67,5 @@ func run() error {
 	fmt.Print(rep.FormatRegions())
 	fmt.Println()
 	fmt.Print(rep.FormatHotLines(*top))
-	return nil
+	return 0, nil
 }

@@ -14,8 +14,9 @@
 // the content-addressed artifact cache; -no-cache forces a fresh
 // simulation.
 //
-// A failed simulation prints a structured fault report to stderr (kind,
-// program counter, instruction, cycle, address) and exits 2.
+// Exit status: 0 on success, 2 on any failure. A failed simulation adds
+// a structured fault report to its error on stderr (kind, program
+// counter, instruction, cycle, address).
 package main
 
 import (
@@ -24,100 +25,61 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
-	"syscall"
 
+	"xtenergy/internal/cli"
 	"xtenergy/internal/core"
 	"xtenergy/internal/engine"
 	"xtenergy/internal/isa"
 	"xtenergy/internal/iss"
-	"xtenergy/internal/procgen"
 	"xtenergy/internal/workloads"
 	"xtenergy/internal/xpowerd"
 )
 
+var (
+	list      = flag.Bool("list", false, "list built-in workloads")
+	name      = flag.String("w", "", "run the named built-in workload")
+	disasm    = flag.Bool("disasm", false, "print disassembly instead of running")
+	showVars  = flag.Bool("vars", false, "print the 21 macro-model variables")
+	netlist   = flag.Bool("netlist", false, "print the generated processor's structural netlist")
+	traceN    = flag.Int("trace", 0, "print the first N trace entries")
+	asJSON    = flag.Bool("json", false, "emit the statistics and macro-model variables as JSON")
+	timeout   = flag.Duration("timeout", 0, "abort the run after this wall-clock deadline (0 = none)")
+	maxCycles = flag.Uint64("maxcycles", 0, "watchdog cycle limit (0 = default)")
+	noCache   = flag.Bool("no-cache", false, "bypass the content-addressed artifact cache: always re-run the simulator")
+)
+
 func main() {
-	if err := run(); err != nil {
-		fmt.Fprintln(os.Stderr, "xsim:", err)
-		if f, ok := iss.AsFault(err); ok {
-			fmt.Fprintf(os.Stderr, "fault report:\n  kind:  %s\n", f.Kind)
-			if f.PC >= 0 {
-				fmt.Fprintf(os.Stderr, "  pc:    %d\n  instr: %s\n  cycle: %d\n", f.PC, f.Instr.String(), f.Cycle)
-			}
-			if f.Kind == iss.FaultMem {
-				fmt.Fprintf(os.Stderr, "  addr:  %#x\n", f.Addr)
-			}
-			os.Exit(2)
-		}
-		os.Exit(1)
+	cli.Main("xsim", func(ctx context.Context) (int, error) {
+		return 0, faultReport(run(ctx))
+	})
+}
+
+// faultReport appends a typed fault's structured report (kind, program
+// counter, instruction, cycle, address) to the error's text.
+func faultReport(err error) error {
+	f, ok := iss.AsFault(err)
+	if !ok {
+		return err
 	}
+	site := ""
+	if f.PC >= 0 {
+		site = fmt.Sprintf("\n  pc:    %d\n  instr: %s\n  cycle: %d", f.PC, f.Instr.String(), f.Cycle)
+	}
+	if f.Kind == iss.FaultMem {
+		site += fmt.Sprintf("\n  addr:  %#x", f.Addr)
+	}
+	return fmt.Errorf("%w\nfault report:\n  kind:  %s%s", err, f.Kind, site)
 }
 
-func allWorkloads() []core.Workload {
-	return workloads.All()
-}
-
-func run() error {
-	list := flag.Bool("list", false, "list built-in workloads")
-	name := flag.String("w", "", "run the named built-in workload")
-	disasm := flag.Bool("disasm", false, "print disassembly instead of running")
-	showVars := flag.Bool("vars", false, "print the 21 macro-model variables")
-	netlist := flag.Bool("netlist", false, "print the generated processor's structural netlist")
-	traceN := flag.Int("trace", 0, "print the first N trace entries")
-	asJSON := flag.Bool("json", false, "emit the statistics and macro-model variables as JSON")
-	timeout := flag.Duration("timeout", 0, "abort the run after this wall-clock deadline (0 = none)")
-	maxCycles := flag.Uint64("maxcycles", 0, "watchdog cycle limit (0 = default)")
-	noCache := flag.Bool("no-cache", false, "bypass the content-addressed artifact cache: always re-run the simulator")
-	flag.Parse()
-
-	cfg := procgen.Default()
-
+func run(ctx context.Context) error {
 	if *list {
-		for _, w := range allWorkloads() {
-			ext := "base"
-			if w.Ext != nil {
-				ext = "tie:" + w.Ext.Name
-			}
-			fmt.Printf("%-24s %s\n", w.Name, ext)
-		}
+		cli.List(workloads.All(), true)
 		return nil
 	}
-
-	var w core.Workload
-	switch {
-	case *name != "":
-		found := false
-		for _, cand := range allWorkloads() {
-			if cand.Name == *name {
-				w, found = cand, true
-				break
-			}
-		}
-		if !found {
-			return fmt.Errorf("unknown workload %q (try -list)", *name)
-		}
-	case flag.NArg() == 1:
-		src, err := os.ReadFile(flag.Arg(0))
-		if err != nil {
-			return err
-		}
-		w = core.Workload{Name: flag.Arg(0), Source: string(src)}
-	default:
-		flag.Usage()
-		return fmt.Errorf("need -list, -w <name>, or an assembly file")
+	p, err := cli.ProgramArg(*name)
+	if err != nil {
+		return err
 	}
-
-	if *disasm {
-		_, prog, err := w.Build(cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Print(isa.Disassemble(prog.Code))
-		return nil
-	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 	if *timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
@@ -127,16 +89,14 @@ func run() error {
 	// The plain report (optionally -vars) renders through the
 	// daemon-shared entry point, so a repeated run is answered from the
 	// content-addressed artifact cache instead of re-simulating. The
-	// richer modes (netlist, trace, JSON, a custom watchdog) keep the
-	// direct local flow, which never consults the cache.
-	if !*netlist && *traceN == 0 && !*asJSON && *maxCycles == 0 {
-		p := xpowerd.SimulateParams{Vars: *showVars, NoCache: *noCache}
-		if *name != "" {
-			p.Workload = *name
-		} else {
-			p.Source, p.SourceName = w.Source, w.Name
-		}
-		text, err := xpowerd.SimulateReport(ctx, p)
+	// richer modes (disassembly, netlist, trace, JSON, a custom
+	// watchdog) keep the direct local flow, which never consults the
+	// cache.
+	if !*disasm && !*netlist && *traceN == 0 && !*asJSON && *maxCycles == 0 {
+		text, err := xpowerd.SimulateReport(ctx, xpowerd.SimulateParams{
+			Workload: p.Workload, Source: p.Source, SourceName: p.SourceName,
+			Vars: *showVars, NoCache: *noCache,
+		})
 		if err != nil {
 			return err
 		}
@@ -144,9 +104,13 @@ func run() error {
 		return nil
 	}
 
-	proc, prog, err := w.Build(cfg)
+	proc, prog, err := p.Build()
 	if err != nil {
 		return err
+	}
+	if *disasm {
+		fmt.Print(isa.Disassemble(prog.Code))
+		return nil
 	}
 	if *netlist {
 		return proc.WriteNetlist(os.Stdout)
@@ -195,7 +159,7 @@ func run() error {
 			}
 		}
 		out := map[string]any{
-			"workload":     w.Name,
+			"workload":     prog.Name,
 			"instructions": len(prog.Code),
 			"cycles":       res.Stats.Cycles,
 			"retired":      res.Stats.Retired,
@@ -207,7 +171,7 @@ func run() error {
 		return enc.Encode(out)
 	}
 
-	a := &engine.SimulateArtifact{Workload: w.Name, Instructions: len(prog.Code), Stats: res.Stats, Vars: vars}
+	a := &engine.SimulateArtifact{Workload: prog.Name, Instructions: len(prog.Code), Stats: res.Stats, Vars: vars}
 	fmt.Print(a.Render(*showVars))
 	return nil
 }

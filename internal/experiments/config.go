@@ -60,7 +60,7 @@ func (s *Suite) ConfigSensitivity() (ConfigSensitivityResult, error) {
 	}
 
 	altCfg := AltConfig()
-	altCR, err := core.Characterize(s.context(), altCfg, s.Tech, workloads.CharacterizationSuite(), core.Options{Regress: s.Regress})
+	altCR, err := core.Characterize(s.context(), altCfg, s.Tech, workloads.CharacterizationSuite(), core.Options{Regress: s.Opts.Regress})
 	if err != nil {
 		return ConfigSensitivityResult{}, fmt.Errorf("experiments: alt characterization: %w", err)
 	}

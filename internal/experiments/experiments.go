@@ -26,7 +26,6 @@ import (
 	"xtenergy/internal/engine"
 	"xtenergy/internal/hwlib"
 	"xtenergy/internal/procgen"
-	"xtenergy/internal/regress"
 	"xtenergy/internal/rtlpower"
 	"xtenergy/internal/workloads"
 )
@@ -34,23 +33,19 @@ import (
 // Suite drives the experiments for one processor configuration and
 // technology. Characterization is performed once and cached.
 type Suite struct {
-	Config  procgen.Config
-	Tech    rtlpower.Technology
-	Regress regress.Options
+	Config procgen.Config
+	Tech   rtlpower.Technology
 
 	// Ctx, when non-nil, bounds every reference measurement the suite
 	// runs (the CLIs pass their signal-cancelled context so ^C / SIGTERM
 	// interrupts a long characterization instead of being ignored).
 	Ctx context.Context
 
-	// Fault-tolerance knobs, forwarded to core.Characterize: Partial
-	// drops failed workloads instead of aborting, Timeout bounds each
-	// workload's reference leg, Retries re-runs transient failures,
-	// Backoff paces those retries (0 = default, negative = immediate).
-	Partial bool
-	Timeout time.Duration
-	Retries int
-	Backoff time.Duration
+	// Opts is what Characterization passes to core.Characterize: the
+	// regression variant and the fault-tolerance policy (Partial,
+	// Timeout, Retries, Backoff). The other characterizations the suite
+	// runs reuse its Regress.
+	Opts core.Options
 
 	charResult *core.CharacterizationResult
 	appObs     []appObservation
@@ -62,18 +57,6 @@ func (s *Suite) context() context.Context {
 		return s.Ctx
 	}
 	return context.Background()
-}
-
-// charOpts assembles the core characterization options from the
-// suite's knobs.
-func (s *Suite) charOpts() core.Options {
-	return core.Options{
-		Regress: s.Regress,
-		Partial: s.Partial,
-		Timeout: s.Timeout,
-		Retries: s.Retries,
-		Backoff: s.Backoff,
-	}
 }
 
 // Default returns the paper-faithful suite (full-detail reference
@@ -100,7 +83,7 @@ func (s *Suite) Characterization() (*core.CharacterizationResult, error) {
 	}
 	res, _, err := engine.Default().Characterize(s.context(), engine.CharacterizeSpec{
 		Config: s.Config, Tech: s.Tech,
-		Workloads: workloads.CharacterizationSuite(), Opts: s.charOpts(),
+		Workloads: workloads.CharacterizationSuite(), Opts: s.Opts,
 	})
 	if err != nil {
 		return nil, err

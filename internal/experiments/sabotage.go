@@ -79,11 +79,11 @@ func (s *Suite) Sabotage() (SabotageResult, error) {
 	plan := SabotagePlan()
 	progs := workloads.CharacterizationSuite()
 	opts := core.Options{
-		Regress: s.Regress,
+		Regress: s.Opts.Regress,
 		Partial: true,
 		Timeout: 5 * time.Second,
 		Retries: 1,
-		Backoff: s.Backoff,
+		Backoff: s.Opts.Backoff,
 		Measure: plan.Measure(),
 	}
 	partialCR, err := core.Characterize(s.context(), s.Config, s.Tech, progs, opts)

@@ -46,7 +46,7 @@ func (s *Suite) Stability(n int) (StabilityResult, error) {
 	for i := 0; i < n; i++ {
 		tech := s.Tech
 		tech.Seed = s.Tech.Seed + uint32(i)*0x9E3779B9
-		cr, err := core.Characterize(s.context(), s.Config, tech, suite, core.Options{Regress: s.Regress})
+		cr, err := core.Characterize(s.context(), s.Config, tech, suite, core.Options{Regress: s.Opts.Regress})
 		if err != nil {
 			return StabilityResult{}, fmt.Errorf("experiments: seed %d: %w", i, err)
 		}

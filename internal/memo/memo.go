@@ -268,44 +268,6 @@ func (s *Store) lead(ctx context.Context, d Digest, compute func(context.Context
 	return data, OutcomeMiss, nil
 }
 
-// Get resolves d from the two tiers without computing: (nil, miss, nil)
-// on absence or an unreadable disk entry, a typed iss.Fault on a
-// corrupt one (which is also counted and deleted). Mainly a test and
-// inspection surface; Do is the serving path.
-func (s *Store) Get(d Digest) ([]byte, Outcome, error) {
-	s.mu.Lock()
-	if el, ok := s.idx[d]; ok {
-		s.ll.MoveToFront(el)
-		data := el.Value.(*entry).data
-		s.mu.Unlock()
-		s.hitsMem.Add(1)
-		return data, OutcomeMemHit, nil
-	}
-	s.mu.Unlock()
-	data, err := s.readDisk(d)
-	switch {
-	case err != nil:
-		s.corrupt.Add(1)
-		if s.onCorrupt != nil {
-			s.onCorrupt(err)
-		}
-		os.Remove(s.path(d))
-		return nil, OutcomeMiss, err
-	case data == nil:
-		return nil, OutcomeMiss, nil
-	}
-	s.putMem(d, data)
-	s.hitsDisk.Add(1)
-	return data, OutcomeDiskHit, nil
-}
-
-// Put stores data under d in both tiers (test seeding and write-through
-// callers; Do stores automatically on a miss).
-func (s *Store) Put(d Digest, data []byte) {
-	s.putMem(d, data)
-	s.writeDisk(d, data)
-}
-
 func (s *Store) putMem(d Digest, data []byte) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -20,6 +20,25 @@ func newTestStore(t *testing.T, dir string) *Store {
 	return s
 }
 
+// seed stores data under d through a Do whose compute returns it.
+func seed(t *testing.T, s *Store, d Digest, data []byte) {
+	t.Helper()
+	if _, out, err := s.Do(context.Background(), d, func(context.Context) ([]byte, error) {
+		return data, nil
+	}); err != nil || out != OutcomeMiss {
+		t.Fatalf("seeding Do = %v, %v", out, err)
+	}
+}
+
+// mustHit is a compute for a Do that one of the store's tiers must
+// answer: running it fails the test.
+func mustHit(t *testing.T) func(context.Context) ([]byte, error) {
+	return func(context.Context) ([]byte, error) {
+		t.Error("computed an entry the store should hold")
+		return nil, fmt.Errorf("unexpected compute")
+	}
+}
+
 func TestDoMissThenHits(t *testing.T) {
 	dir := t.TempDir()
 	s := newTestStore(t, dir)
@@ -78,16 +97,18 @@ func TestLRUEviction(t *testing.T) {
 	keys := make([]Digest, 3)
 	for i := range keys {
 		keys[i] = DigestBytes([]byte{byte(i)})
-		s.Put(keys[i], []byte{byte(i)})
+		seed(t, s, keys[i], []byte{byte(i)})
 	}
 	if c := s.Counters(); c.Evictions != 1 {
 		t.Fatalf("evictions = %d, want 1", c.Evictions)
 	}
-	if _, out, _ := s.Get(keys[0]); out != OutcomeMiss {
-		t.Fatalf("oldest entry outcome = %v, want miss", out)
-	}
-	if _, out, _ := s.Get(keys[2]); out != OutcomeMemHit {
+	if _, out, _ := s.Do(context.Background(), keys[2], mustHit(t)); out != OutcomeMemHit {
 		t.Fatalf("newest entry outcome = %v, want mem-hit", out)
+	}
+	if _, out, _ := s.Do(context.Background(), keys[0], func(context.Context) ([]byte, error) {
+		return []byte{0}, nil
+	}); out != OutcomeMiss {
+		t.Fatalf("oldest entry outcome = %v, want miss", out)
 	}
 }
 
@@ -97,12 +118,12 @@ func TestByteBoundEviction(t *testing.T) {
 		t.Fatal(err)
 	}
 	a, b := DigestBytes([]byte("a")), DigestBytes([]byte("b"))
-	s.Put(a, make([]byte, 8))
-	s.Put(b, make([]byte, 8))
+	seed(t, s, a, make([]byte, 8))
+	seed(t, s, b, make([]byte, 8))
 	if c := s.Counters(); c.Evictions != 1 {
 		t.Fatalf("evictions = %d, want 1", c.Evictions)
 	}
-	if _, out, _ := s.Get(b); out != OutcomeMemHit {
+	if _, out, _ := s.Do(context.Background(), b, mustHit(t)); out != OutcomeMemHit {
 		t.Fatalf("latest entry evicted")
 	}
 }
@@ -144,7 +165,7 @@ func TestCorruptEntriesRecompute(t *testing.T) {
 				t.Fatal(err)
 			}
 			d := DigestBytes([]byte("req"))
-			s.Put(d, []byte("payload"))
+			seed(t, s, d, []byte("payload"))
 			corruptEntry(t, s, d, tc.fn)
 
 			// Read through a fresh store so the memory tier cannot mask
@@ -173,7 +194,7 @@ func TestCorruptEntriesRecompute(t *testing.T) {
 
 			// The recompute rewrote the entry: a third store reads it clean.
 			s3 := newTestStore(t, dir)
-			got, out, err = s3.Get(d)
+			got, out, err = s3.Do(context.Background(), d, mustHit(t))
 			if err != nil || string(got) != "payload" || out != OutcomeDiskHit {
 				t.Fatalf("entry not rewritten: %q, %v, %v", got, out, err)
 			}
@@ -210,18 +231,6 @@ func TestUnreadableEntryIsAMiss(t *testing.T) {
 	}
 	if fi, err := os.Stat(s.path(d)); err != nil || !fi.IsDir() {
 		t.Fatalf("the directory at the entry path is gone: %v", err)
-	}
-
-	// Get, through a fresh store so the memory tier cannot answer.
-	s2, err := New(Options{Dir: dir, OnCorrupt: func(err error) { faults = append(faults, err) }})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, out, err := s2.Get(d); got != nil || out != OutcomeMiss || err != nil {
-		t.Fatalf("Get over an unreadable entry = %q, %v, %v", got, out, err)
-	}
-	if c := s2.Counters(); len(faults) != 0 || c.Corrupt != 0 {
-		t.Fatalf("Get counted an unreadable entry corrupt: %+v, %v", c, faults)
 	}
 }
 
