@@ -249,8 +249,9 @@ func BenchmarkPlanBuild(b *testing.B) {
 	}
 }
 
-// BenchmarkISSWithTrace measures the trace-collecting ISS mode used by
-// the reference path.
+// BenchmarkISSWithTrace measures the ISS feeding a TraceSink: building
+// every retired instruction's entry and delivering it in batches, the
+// feed the reference path pays before any estimation.
 func BenchmarkISSWithTrace(b *testing.B) {
 	w := workloads.ReedSolomonBase()
 	proc, prog, err := w.Build(procgen.Default())
@@ -258,12 +259,28 @@ func BenchmarkISSWithTrace(b *testing.B) {
 		b.Fatal(err)
 	}
 	sim := iss.New(proc)
+	opts := iss.Options{TraceSink: func([]iss.TraceEntry) error { return nil }}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sim.Run(prog, iss.Options{CollectTrace: true}); err != nil {
+		if _, err := sim.Run(prog, opts); err != nil {
 			b.Fatal(err)
 		}
 	}
+}
+
+// recordTrace runs prog on proc and returns every retired instruction,
+// appended from the TraceSink's batches.
+func recordTrace(b *testing.B, proc *procgen.Processor, prog *iss.Program) []iss.TraceEntry {
+	b.Helper()
+	var trace []iss.TraceEntry
+	if _, err := iss.New(proc).Run(prog, iss.Options{TraceSink: func(batch []iss.TraceEntry) error {
+		trace = append(trace, batch...)
+		return nil
+	}}); err != nil {
+		b.Fatal(err)
+	}
+	return trace
 }
 
 // BenchmarkRTLPowerEstimate measures the structural reference estimator
@@ -274,17 +291,14 @@ func BenchmarkRTLPowerEstimate(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	res, err := iss.New(proc).Run(prog, iss.Options{CollectTrace: true})
-	if err != nil {
-		b.Fatal(err)
-	}
+	trace := recordTrace(b, proc, prog)
 	est, err := rtlpower.New(proc, rtlpower.FastTechnology())
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := est.EstimateTrace(res.Trace); err != nil {
+		if _, err := est.EstimateTrace(trace); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -292,10 +306,10 @@ func BenchmarkRTLPowerEstimate(b *testing.B) {
 
 // BenchmarkReferenceStreamed measures the streaming reference path —
 // the ISS feeding the incremental StreamEstimator through the bounded
-// batch channel (rtlpower.RunStreamed), with no materialized trace.
-// Compare against BenchmarkISSWithTrace + BenchmarkRTLPowerEstimate,
-// the two halves of the old materialize-then-walk pipeline; allocs/op
-// here is independent of how many instructions the workload retires.
+// batch channel (rtlpower.RunStreamed). Its halves are
+// BenchmarkISSWithTrace (the feed) and BenchmarkRTLPowerEstimate (the
+// estimator over a recorded trace); allocs/op here is independent of
+// how many instructions the workload retires.
 func BenchmarkReferenceStreamed(b *testing.B) {
 	w := workloads.ReedSolomonBase()
 	proc, prog, err := w.Build(procgen.Default())
@@ -400,8 +414,8 @@ func BenchmarkExploreDesignSpace(b *testing.B) {
 	}
 }
 
-// BenchmarkProfiler measures per-instruction energy attribution over a
-// recorded trace.
+// BenchmarkProfiler measures per-instruction energy attribution: the
+// ISS run and the pricing of each entry as it streams past.
 func BenchmarkProfiler(b *testing.B) {
 	s := sharedSuite(b)
 	cr, err := s.Characterization()
@@ -413,13 +427,9 @@ func BenchmarkProfiler(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	res, err := iss.New(proc).Run(prog, iss.Options{CollectTrace: true})
-	if err != nil {
-		b.Fatal(err)
-	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := profiler.Profile(cr.Model, proc, prog, res.Trace); err != nil {
+		if _, _, err := profiler.Profile(context.Background(), cr.Model, proc, prog); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -117,16 +117,20 @@ func runBench(argv []string) error {
 	}
 
 	// simulate_nets isolates the net-simulation kernel from the ISS:
-	// pure estimation over a prerecorded trace (the in-process twin of
+	// pure estimation over a trace recorded through the simulator's
+	// sink before timing (the in-process twin of
 	// BenchmarkRTLPowerEstimate).
-	res, err := sim.Run(prog, iss.Options{CollectTrace: true})
-	if err != nil {
+	var trace []iss.TraceEntry
+	if _, err := sim.Run(prog, iss.Options{TraceSink: func(batch []iss.TraceEntry) error {
+		trace = append(trace, batch...)
+		return nil
+	}}); err != nil {
 		return err
 	}
 	current["simulate_nets"] = toEntry(testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := est.EstimateTrace(res.Trace); err != nil {
+			if _, err := est.EstimateTrace(trace); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -150,7 +154,7 @@ func runBench(argv []string) error {
 		current[lane] = toEntry(testing.Benchmark(func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := ek.EstimateTrace(res.Trace); err != nil {
+				if _, err := ek.EstimateTrace(trace); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -16,7 +16,6 @@ import (
 	"fmt"
 
 	"xtenergy/internal/cli"
-	"xtenergy/internal/iss"
 	"xtenergy/internal/profiler"
 	"xtenergy/internal/workloads"
 )
@@ -53,11 +52,7 @@ func run(ctx context.Context) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	res, err := iss.New(proc).RunContext(ctx, prog, iss.Options{CollectTrace: true})
-	if err != nil {
-		return 0, err
-	}
-	rep, err := profiler.Profile(model, proc, prog, res.Trace)
+	rep, res, err := profiler.Profile(ctx, model, proc, prog)
 	if err != nil {
 		return 0, err
 	}

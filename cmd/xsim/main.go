@@ -115,17 +115,22 @@ func run(ctx context.Context) error {
 	if *netlist {
 		return proc.WriteNetlist(os.Stdout)
 	}
-	res, err := iss.New(proc).RunContext(ctx, prog, iss.Options{CollectTrace: *traceN > 0, MaxCycles: *maxCycles})
+	// -trace keeps only the first N entries the simulator streams.
+	var trace []iss.TraceEntry
+	opts := iss.Options{MaxCycles: *maxCycles}
+	if *traceN > 0 {
+		opts.TraceSink = func(batch []iss.TraceEntry) error {
+			keep := min(len(batch), *traceN-len(trace))
+			trace = append(trace, batch[:keep]...)
+			return nil
+		}
+	}
+	res, err := iss.New(proc).RunContext(ctx, prog, opts)
 	if err != nil {
 		return err
 	}
 	if *traceN > 0 {
-		n := *traceN
-		if n > len(res.Trace) {
-			n = len(res.Trace)
-		}
-		for i := 0; i < n; i++ {
-			te := res.Trace[i]
+		for i, te := range trace {
 			events := ""
 			if te.ICMiss {
 				events += " icmiss"

@@ -41,6 +41,7 @@ type listEntry struct {
 	GoFiles    []string
 	DepOnly    bool
 	Incomplete bool
+	Error      *struct{ Err string }
 }
 
 // Load lists, parses, and type-checks the packages matching patterns in
@@ -80,6 +81,12 @@ func LoadContext(ctx context.Context, dir string, patterns ...string) ([]*Packag
 		}
 		if e.Export != "" {
 			exports[e.ImportPath] = e.Export
+		}
+		// A pattern naming a missing directory or package, or a
+		// package go list cannot load, comes back as an entry carrying
+		// an Error. Skipping it would read as a clean result.
+		if !e.DepOnly && e.Error != nil {
+			return nil, fmt.Errorf("analyzers: %s: %s", e.ImportPath, e.Error.Err)
 		}
 		if !e.DepOnly && !e.Incomplete && len(e.GoFiles) > 0 {
 			targets = append(targets, e)

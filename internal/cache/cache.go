@@ -103,9 +103,6 @@ func New(cfg Config) *Cache {
 	}
 }
 
-// Config returns the cache geometry.
-func (c *Cache) Config() Config { return c.cfg }
-
 // Sets returns the number of sets.
 func (c *Cache) Sets() int { return c.sets }
 

@@ -47,12 +47,15 @@ func (w *Workload) Build(cfg procgen.Config) (*procgen.Processor, *iss.Program, 
 
 // Simulate builds and runs the workload on the ISS, returning the
 // processor, the run result, and the extracted macro-model variables.
+// collectTrace is ignored: the ISS keeps no trace (stream one through
+// iss.Options.TraceSink). The parameter remains because the benchmark
+// module compiles against this signature.
 func (w *Workload) Simulate(cfg procgen.Config, collectTrace bool) (*procgen.Processor, *iss.Result, Vars, error) {
 	proc, prog, err := w.Build(cfg)
 	if err != nil {
 		return nil, nil, Vars{}, err
 	}
-	res, err := iss.New(proc).Run(prog, iss.Options{CollectTrace: collectTrace})
+	res, err := iss.New(proc).Run(prog, iss.Options{})
 	if err != nil {
 		return nil, nil, Vars{}, fmt.Errorf("core: workload %s: %w", w.Name, err)
 	}

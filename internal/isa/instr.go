@@ -22,15 +22,6 @@ type Instr struct {
 	CustomID uint8
 }
 
-// Def returns the static definition of the instruction's opcode.
-func (in Instr) Def() Def {
-	d, _ := Lookup(in.Op)
-	return d
-}
-
-// Class returns the static energy class of the instruction.
-func (in Instr) Class() Class { return ClassOf(in.Op) }
-
 // IsBranch reports whether the instruction is a conditional branch.
 func (in Instr) IsBranch() bool { return ClassOf(in.Op) == ClassBranch }
 

@@ -24,17 +24,13 @@ const UncachedFetchPenalty = 6
 
 // Options configures a simulation run.
 type Options struct {
-	// CollectTrace records a TraceEntry per retired instruction
-	// (the materialized-trace mode; O(retired instructions) memory).
-	CollectTrace bool
-	// TraceSink, when non-nil, streams the execution trace instead:
-	// every retired instruction is delivered, in order, in batches of up
-	// to TraceBatchSize entries. The batch slice is owned by the
-	// simulator and reused after the call returns, so a sink that keeps
-	// entries beyond the call must copy them. Returning a non-nil error
-	// aborts the run. TraceSink keeps trace consumers (e.g. the RTL
-	// reference estimator) at O(1) memory regardless of run length, and
-	// may be combined with CollectTrace.
+	// TraceSink, when non-nil, streams the execution trace: every
+	// retired instruction is delivered, in order, in batches of up to
+	// TraceBatchSize entries. The batch slice is owned by the simulator
+	// and reused after the call returns, so a sink that keeps entries
+	// beyond the call must copy them. Returning a non-nil error aborts
+	// the run. The simulator keeps no trace of its own, so its memory
+	// does not grow with run length.
 	TraceSink func(batch []TraceEntry) error
 	// RecordUninitReads tracks which general registers have been written
 	// (the link register a0 counts as written: reset initializes it to
@@ -84,8 +80,6 @@ const DefaultMaxCycles = 200_000_000
 type Result struct {
 	// Stats are the macro-model execution statistics.
 	Stats Stats
-	// Trace is the dynamic execution trace (nil unless requested).
-	Trace []TraceEntry
 	// Regs is the final general register file.
 	Regs [isa.NumRegs]uint32
 	// TIE is the final custom state (nil when the processor has no
@@ -120,7 +114,6 @@ type Simulator struct {
 	prog  *Program
 	plan  *plan.Plan
 	stats Stats
-	trace []TraceEntry
 
 	// Streaming-trace state: sink is Options.TraceSink for the current
 	// run; batch is the reusable fixed-size delivery buffer.
@@ -168,9 +161,6 @@ func New(p *procgen.Processor) *Simulator {
 	return s
 }
 
-// Processor returns the processor the simulator was built for.
-func (s *Simulator) Processor() *procgen.Processor { return s.proc }
-
 // Run executes prog to completion and returns its statistics. It is
 // RunContext without cancellation.
 func (s *Simulator) Run(prog *Program, opts Options) (*Result, error) {
@@ -197,9 +187,6 @@ func (s *Simulator) RunContext(ctx context.Context, prog *Program, opts Options)
 		return nil, err
 	}
 	s.reset(prog)
-	if opts.CollectTrace {
-		s.trace = make([]TraceEntry, 0, 4096)
-	}
 	s.sink = opts.TraceSink
 	if s.sink != nil {
 		if s.batch == nil {
@@ -258,7 +245,7 @@ func (s *Simulator) RunContext(ctx context.Context, prog *Program, opts Options)
 				return nil, s.site(f, pc)
 			}
 		}
-		next, halt, err := s.step(pc, opts.CollectTrace)
+		next, halt, err := s.step(pc)
 		if err != nil {
 			return nil, s.site(err, pc)
 		}
@@ -275,7 +262,7 @@ func (s *Simulator) RunContext(ctx context.Context, prog *Program, opts Options)
 		s.batch = s.batch[:0]
 	}
 
-	res = &Result{Stats: s.stats, Trace: s.trace, Regs: s.regs, UninitReads: s.uninit}
+	res = &Result{Stats: s.stats, Regs: s.regs, UninitReads: s.uninit}
 	if s.tie != nil {
 		res.TIE = s.tie.Clone()
 	}
@@ -343,7 +330,6 @@ func (s *Simulator) reset(prog *Program) {
 	if s.tie != nil {
 		s.tie.Reset()
 	}
-	s.trace = nil
 }
 
 // step retires the instruction at pc and returns the next pc. All
@@ -353,7 +339,7 @@ func (s *Simulator) reset(prog *Program) {
 // dynamic state.
 //
 //xtenergy:hotpath
-func (s *Simulator) step(pc int, collect bool) (next int, halt bool, err error) {
+func (s *Simulator) step(pc int) (next int, halt bool, err error) {
 	rec := &s.plan.Recs[pc]
 	in := rec.Instr
 
@@ -412,7 +398,7 @@ func (s *Simulator) step(pc int, collect bool) (next int, halt bool, err error) 
 			return 0, false, err
 		}
 		cycles += n
-		if err := s.finishEntry(te, pc, in, cycles, collect); err != nil {
+		if err := s.finishEntry(te, pc, in, cycles); err != nil {
 			return 0, false, err
 		}
 		return s.loopBack(pc + 1), false, nil
@@ -434,7 +420,7 @@ func (s *Simulator) step(pc int, collect bool) (next int, halt bool, err error) 
 		return 0, false, err
 	}
 	cycles += r.cycles
-	if err := s.finishEntry(te, pc, in, cycles, collect); err != nil {
+	if err := s.finishEntry(te, pc, in, cycles); err != nil {
 		return 0, false, err
 	}
 	if r.halt {
@@ -518,25 +504,20 @@ func runSemantics(ci *tie.Instruction, st *tie.State, ops tie.Operands) (v uint3
 	return ci.Semantics(st, ops), nil
 }
 
-func (s *Simulator) finishEntry(te *TraceEntry, pc int, in isa.Instr, cycles int, collect bool) error {
+func (s *Simulator) finishEntry(te *TraceEntry, pc int, in isa.Instr, cycles int) error {
 	s.stats.Cycles += uint64(cycles)
-	if !collect && s.sink == nil {
+	if s.sink == nil {
 		return nil
 	}
 	te.PC = int32(pc)
 	te.Instr = in
 	te.Cycles = uint32(cycles)
-	if collect {
-		s.trace = append(s.trace, *te)
-	}
-	if s.sink != nil {
-		s.batch = append(s.batch, *te)
-		if len(s.batch) == cap(s.batch) {
-			err := s.sink(s.batch)
-			s.batch = s.batch[:0]
-			if err != nil {
-				return fmt.Errorf("trace sink: %w", err)
-			}
+	s.batch = append(s.batch, *te)
+	if len(s.batch) == cap(s.batch) {
+		err := s.sink(s.batch)
+		s.batch = s.batch[:0]
+		if err != nil {
+			return fmt.Errorf("trace sink: %w", err)
 		}
 	}
 	return nil

@@ -30,11 +30,33 @@ func runSrcExt(t *testing.T, src string, ext *tie.Extension) (*iss.Result, *iss.
 		t.Fatal(err)
 	}
 	sim := iss.New(proc)
-	res, err := sim.Run(prog, iss.Options{CollectTrace: true})
+	res, err := sim.Run(prog, iss.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return res, sim
+}
+
+// recordTrace runs src on a base processor and returns every retired
+// instruction, appended from the TraceSink's batches.
+func recordTrace(t *testing.T, src string) []iss.TraceEntry {
+	t.Helper()
+	proc, err := procgen.Generate(procgen.Default(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := asm.New(proc.TIE).Assemble("t", src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var trace []iss.TraceEntry
+	if _, err := iss.New(proc).Run(prog, iss.Options{TraceSink: func(batch []iss.TraceEntry) error {
+		trace = append(trace, batch...)
+		return nil
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	return trace
 }
 
 // Table-driven semantics checks: each program leaves its result in a1.
@@ -347,26 +369,16 @@ func TestClassCycleAccounting(t *testing.T) {
 }
 
 func TestTraceCollection(t *testing.T) {
-	res, _ := runSrc(t, "movi a1, 1\n movi a2, 2\n add a3, a1, a2\n ret\n")
-	if len(res.Trace) != 4 {
-		t.Fatalf("trace length = %d", len(res.Trace))
+	trace := recordTrace(t, "movi a1, 1\n movi a2, 2\n add a3, a1, a2\n ret\n")
+	if len(trace) != 4 {
+		t.Fatalf("trace length = %d", len(trace))
 	}
-	add := res.Trace[2]
+	add := trace[2]
 	if add.RsVal != 1 || add.RtVal != 2 || add.Result != 3 {
 		t.Fatalf("trace operands: %+v", add)
 	}
 	if add.PC != 2 {
 		t.Fatalf("trace pc = %d", add.PC)
-	}
-	// Without the option, no trace.
-	proc, _ := procgen.Generate(procgen.Default(), nil)
-	prog, _ := asm.New(proc.TIE).Assemble("t", "ret\n")
-	r2, err := iss.New(proc).Run(prog, iss.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r2.Trace != nil {
-		t.Fatal("trace collected without option")
 	}
 }
 

@@ -11,7 +11,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"strings"
 )
 
 // Matrix is a dense, row-major matrix of float64 values.
@@ -224,22 +223,6 @@ func (m *Matrix) FrobeniusNorm() float64 {
 		s += v * v
 	}
 	return math.Sqrt(s)
-}
-
-// String renders the matrix for debugging.
-func (m *Matrix) String() string {
-	var b strings.Builder
-	for i := 0; i < m.rows; i++ {
-		b.WriteString("[")
-		for j := 0; j < m.cols; j++ {
-			if j > 0 {
-				b.WriteString(" ")
-			}
-			fmt.Fprintf(&b, "%10.4g", m.At(i, j))
-		}
-		b.WriteString("]\n")
-	}
-	return b.String()
 }
 
 // Dot returns the inner product of two equal-length slices.

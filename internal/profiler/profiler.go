@@ -11,6 +11,7 @@
 package profiler
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -63,67 +64,56 @@ type Report struct {
 	Cycles uint64
 }
 
-// Profile attributes the model's energy over the program's trace.
-// The trace must have been collected on proc (Options.CollectTrace).
-func Profile(model *core.MacroModel, proc *procgen.Processor, prog *iss.Program, trace []iss.TraceEntry) (*Report, error) {
+// Profile runs prog on proc's ISS and attributes the model's energy to
+// each instruction as the trace streams past, so its memory follows the
+// program's size, not its run length. It also returns the run's result.
+func Profile(ctx context.Context, model *core.MacroModel, proc *procgen.Processor, prog *iss.Program) (*Report, *iss.Result, error) {
 	if model == nil {
-		return nil, fmt.Errorf("profiler: nil model")
-	}
-	if len(trace) == 0 {
-		return nil, fmt.Errorf("profiler: empty trace")
+		return nil, nil, fmt.Errorf("profiler: nil model")
 	}
 
 	icPen := proc.Config.ICache.MissPenalty
 	dcPen := proc.Config.DCache.MissPenalty
 	pl := prog.Plan(proc.TIE)
 
-	perPC := make(map[int]*Line)
-	var totalPJ float64
-	var totalCycles uint64
-
-	var scratch plan.Rec
-	for i := range trace {
-		te := &trace[i]
-		rec := pl.Rec(int(te.PC))
-		if rec == nil || rec.Instr != te.Instr {
-			// The entry no longer matches its plan record (e.g. a trace
-			// altered by a fault-injection harness): the entry's own
-			// instruction stays authoritative, priced via a standalone
-			// record.
-			scratch = plan.Describe(proc.TIE, te.Instr)
-			rec = &scratch
+	perPC := make([]Line, len(prog.Code))
+	rep := &Report{}
+	sink := func(batch []iss.TraceEntry) error {
+		for i := range batch {
+			te := &batch[i]
+			pj := entryEnergy(model, pl, &pl.Recs[te.PC], te, icPen, dcPen)
+			ln := &perPC[te.PC]
+			ln.Count++
+			ln.Cycles += uint64(te.Cycles)
+			ln.EnergyPJ += pj
+			rep.TotalPJ += pj
+			rep.Cycles += uint64(te.Cycles)
 		}
-		pj, err := entryEnergy(model, proc, pl, rec, te, icPen, dcPen)
-		if err != nil {
-			return nil, err
-		}
-		ln := perPC[int(te.PC)]
-		if ln == nil {
-			ln = &Line{PC: int(te.PC), Instr: te.Instr}
-			perPC[int(te.PC)] = ln
-		}
-		ln.Count++
-		ln.Cycles += uint64(te.Cycles)
-		ln.EnergyPJ += pj
-		totalPJ += pj
-		totalCycles += uint64(te.Cycles)
+		return nil
+	}
+	res, err := iss.New(proc).RunContext(ctx, prog, iss.Options{TraceSink: sink})
+	if err != nil {
+		return nil, nil, err
+	}
+	if res.Stats.Retired == 0 {
+		return nil, nil, fmt.Errorf("profiler: empty trace")
 	}
 
-	rep := &Report{TotalPJ: totalPJ, Cycles: totalCycles}
-	for _, ln := range perPC {
-		rep.Lines = append(rep.Lines, *ln)
+	for pc, ln := range perPC {
+		if ln.Count > 0 {
+			ln.PC, ln.Instr = pc, pl.Recs[pc].Instr
+			rep.Lines = append(rep.Lines, ln)
+		}
 	}
-	sort.Slice(rep.Lines, func(a, b int) bool { return rep.Lines[a].PC < rep.Lines[b].PC })
-
-	rep.Regions = buildRegions(prog, rep.Lines, totalPJ)
-	return rep, nil
+	rep.Regions = buildRegions(prog, rep.Lines, rep.TotalPJ)
+	return rep, res, nil
 }
 
 // entryEnergy prices one retired instruction: its contribution to each
 // macro-model variable, dotted with the fitted coefficients. rec is the
-// instruction's plan record (or a Describe fallback for entries that no
-// longer match the program).
-func entryEnergy(model *core.MacroModel, proc *procgen.Processor, pl *plan.Plan, rec *plan.Rec, te *iss.TraceEntry, icPen, dcPen int) (float64, error) {
+// instruction's plan record; the ISS has already resolved a custom
+// instruction's extension entry, or it would have faulted.
+func entryEnergy(model *core.MacroModel, pl *plan.Plan, rec *plan.Rec, te *iss.TraceEntry, icPen, dcPen int) float64 {
 	var v core.Vars
 	in := te.Instr
 
@@ -143,19 +133,13 @@ func entryEnergy(model *core.MacroModel, proc *procgen.Processor, pl *plan.Plan,
 
 	if in.IsCustom() {
 		ci := rec.CI
-		if ci == nil {
-			// Cold path: re-query the extension so callers get the
-			// original undefined-instruction error.
-			_, err := proc.TIE.Instruction(in.CustomID)
-			return 0, err
-		}
 		if rec.RegfileActive {
 			v[core.VCustomSideEffect] = float64(ci.Latency)
 		}
 		for k := range rec.CustomWeights {
 			v[core.VCustomBase+k] = rec.CustomWeights[k] * float64(ci.Latency)
 		}
-		return model.EstimatePJ(v), nil
+		return model.EstimatePJ(v)
 	}
 
 	// Base instruction: class cycles are the entry's cycles minus its
@@ -197,7 +181,7 @@ func entryEnergy(model *core.MacroModel, proc *procgen.Processor, pl *plan.Plan,
 			v[core.VBranchUntaken] = float64(classCycles)
 		}
 	}
-	return model.EstimatePJ(v), nil
+	return model.EstimatePJ(v)
 }
 
 // buildRegions aggregates lines into [label, next-label) regions.

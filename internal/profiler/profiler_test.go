@@ -2,11 +2,14 @@ package profiler_test
 
 import (
 	"context"
+	"fmt"
 	"math"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 
+	"xtenergy/internal/asm"
 	"xtenergy/internal/core"
 	"xtenergy/internal/iss"
 	"xtenergy/internal/procgen"
@@ -49,11 +52,7 @@ func profileWorkload(t *testing.T, name string) (*profiler.Report, core.Estimate
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := iss.New(proc).Run(prog, iss.Options{CollectTrace: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := profiler.Profile(m, proc, prog, res.Trace)
+	rep, _, err := profiler.Profile(context.Background(), m, proc, prog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,11 +134,69 @@ func TestHotLines(t *testing.T) {
 
 func TestProfileErrors(t *testing.T) {
 	m := sharedModel(t)
-	proc, _ := procgen.Generate(procgen.Default(), nil)
-	if _, err := profiler.Profile(nil, proc, &iss.Program{}, []iss.TraceEntry{{}}); err == nil {
+	proc, err := procgen.Generate(procgen.Default(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog := countdown(t, proc, 10)
+	ctx := context.Background()
+	if _, _, err := profiler.Profile(ctx, nil, proc, prog); err == nil {
 		t.Fatal("nil model accepted")
 	}
-	if _, err := profiler.Profile(m, proc, &iss.Program{}, nil); err == nil {
-		t.Fatal("empty trace accepted")
+	if _, _, err := profiler.Profile(ctx, m, proc, &iss.Program{}); err == nil {
+		t.Fatal("empty program accepted")
+	}
+	cancelled, cancel := context.WithCancel(ctx)
+	cancel()
+	_, _, err = profiler.Profile(cancelled, m, proc, prog)
+	if f, ok := iss.AsFault(err); !ok || f.Kind != iss.FaultCancelled {
+		t.Fatalf("cancelled run: %v, want a cancelled fault", err)
+	}
+}
+
+// countdown assembles a program that retires about 2n+2 instructions.
+func countdown(t *testing.T, proc *procgen.Processor, n int) *iss.Program {
+	t.Helper()
+	prog, err := asm.New(proc.TIE).Assemble("countdown", fmt.Sprintf(`
+ movi a2, %d
+loop:
+ addi a2, a2, -1
+ bnez a2, loop
+ ret
+`, n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return prog
+}
+
+// TestProfileMemoryFollowsProgram pins the streamed profile: a run 100
+// times longer allocates the same bytes, within 64 KiB, because each
+// entry is priced as it streams past instead of being kept.
+func TestProfileMemoryFollowsProgram(t *testing.T) {
+	const slack = 64 << 10
+	m := sharedModel(t)
+	proc, err := procgen.Generate(procgen.Default(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocated := func(n int) uint64 {
+		prog := countdown(t, proc, n)
+		profile := func() {
+			if _, _, err := profiler.Profile(context.Background(), m, proc, prog); err != nil {
+				t.Fatal(err)
+			}
+		}
+		profile() // builds the program's cached plan
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		profile()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	short, long := allocated(1_000), allocated(100_000)
+	t.Logf("Profile allocates %d bytes on ~2k instructions, %d on ~200k", short, long)
+	if long > short+slack || short > long+slack {
+		t.Errorf("Profile allocation follows run length: %d bytes on ~2k instructions, %d on ~200k", short, long)
 	}
 }

@@ -14,17 +14,28 @@ import (
 	"xtenergy/internal/rtlpower"
 )
 
-func runProg(t *testing.T, prog *iss.Program, trace bool) *iss.Result {
+// runProg runs prog on a base processor. With trace set it also
+// returns every retired instruction, appended from the TraceSink's
+// batches.
+func runProg(t *testing.T, prog *iss.Program, trace bool) (*iss.Result, []iss.TraceEntry) {
 	t.Helper()
 	proc, err := procgen.Generate(procgen.Default(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := iss.New(proc).Run(prog, iss.Options{CollectTrace: trace, MaxCycles: 5_000_000})
+	var entries []iss.TraceEntry
+	opts := iss.Options{MaxCycles: 5_000_000}
+	if trace {
+		opts.TraceSink = func(batch []iss.TraceEntry) error {
+			entries = append(entries, batch...)
+			return nil
+		}
+	}
+	res, err := iss.New(proc).Run(prog, opts)
 	if err != nil {
 		t.Fatalf("seeded program failed: %v", err)
 	}
-	return res
+	return res, entries
 }
 
 func TestGeneratedProgramsHaltAndValidate(t *testing.T) {
@@ -33,7 +44,7 @@ func TestGeneratedProgramsHaltAndValidate(t *testing.T) {
 		if err := prog.Validate(); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		res := runProg(t, prog, false)
+		res, _ := runProg(t, prog, false)
 		if res.Stats.Retired == 0 {
 			t.Fatalf("seed %d retired nothing", seed)
 		}
@@ -45,7 +56,7 @@ func TestGeneratedProgramsHaltAndValidate(t *testing.T) {
 func TestCycleAccountingInvariant(t *testing.T) {
 	for seed := int64(0); seed < 25; seed++ {
 		prog := randprog.Generate(seed, randprog.Options{AllowLoops: true, Blocks: 60})
-		res := runProg(t, prog, true)
+		res, trace := runProg(t, prog, true)
 		st := res.Stats
 		if got := st.BaseCycles() + st.CustomCycles + st.StallCycles; got != st.Cycles {
 			t.Fatalf("seed %d: %d classified vs %d total cycles", seed, got, st.Cycles)
@@ -57,8 +68,8 @@ func TestCycleAccountingInvariant(t *testing.T) {
 		if opTotal != st.Retired {
 			t.Fatalf("seed %d: opcode counts %d vs retired %d", seed, opTotal, st.Retired)
 		}
-		if uint64(len(res.Trace)) != st.Retired {
-			t.Fatalf("seed %d: trace %d entries vs retired %d", seed, len(res.Trace), st.Retired)
+		if uint64(len(trace)) != st.Retired {
+			t.Fatalf("seed %d: trace %d entries vs retired %d", seed, len(trace), st.Retired)
 		}
 	}
 }
@@ -67,8 +78,8 @@ func TestCycleAccountingInvariant(t *testing.T) {
 func TestSimulationDeterminism(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		prog := randprog.Generate(seed, randprog.Options{AllowLoops: true})
-		a := runProg(t, prog, false)
-		b := runProg(t, prog, false)
+		a, _ := runProg(t, prog, false)
+		b, _ := runProg(t, prog, false)
 		if a.Stats.Cycles != b.Stats.Cycles ||
 			a.Stats.Retired != b.Stats.Retired ||
 			a.Stats.ClassCycles != b.Stats.ClassCycles ||
@@ -95,15 +106,12 @@ func TestReferenceEstimatorOnRandomPrograms(t *testing.T) {
 	tech.Detail = 0.02
 	for seed := int64(0); seed < 8; seed++ {
 		prog := randprog.Generate(seed, randprog.Options{AllowLoops: true, Blocks: 30})
-		res, err := iss.New(proc).Run(prog, iss.Options{CollectTrace: true})
-		if err != nil {
-			t.Fatal(err)
-		}
+		_, trace := runProg(t, prog, true)
 		est, err := rtlpower.New(proc, tech)
 		if err != nil {
 			t.Fatal(err)
 		}
-		r1, err := est.EstimateTrace(res.Trace)
+		r1, err := est.EstimateTrace(trace)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -111,7 +119,7 @@ func TestReferenceEstimatorOnRandomPrograms(t *testing.T) {
 			t.Fatalf("seed %d: non-positive energy", seed)
 		}
 		est2, _ := rtlpower.New(proc, tech)
-		r2, err := est2.EstimateTrace(res.Trace)
+		r2, err := est2.EstimateTrace(trace)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -155,8 +163,8 @@ func TestDisassembleReassembleRoundTrip(t *testing.T) {
 		}
 		// And identical runs (data segment carried over manually).
 		prog2.Data = prog.Data
-		r1 := runProg(t, prog, false)
-		r2 := runProg(t, prog2, false)
+		r1, _ := runProg(t, prog, false)
+		r2, _ := runProg(t, prog2, false)
 		if r1.Regs != r2.Regs || r1.Stats.Cycles != r2.Stats.Cycles {
 			t.Fatalf("seed %d: behaviour differs after round trip", seed)
 		}
@@ -218,15 +226,12 @@ func TestPerBlockConservationOnRandomPrograms(t *testing.T) {
 	tech.Detail = 0.02
 	for seed := int64(100); seed < 106; seed++ {
 		prog := randprog.Generate(seed, randprog.Options{AllowLoops: true, Blocks: 25})
-		res, err := iss.New(proc).Run(prog, iss.Options{CollectTrace: true})
-		if err != nil {
-			t.Fatal(err)
-		}
+		_, trace := runProg(t, prog, true)
 		est, err := rtlpower.New(proc, tech)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := est.EstimateTrace(res.Trace)
+		rep, err := est.EstimateTrace(trace)
 		if err != nil {
 			t.Fatal(err)
 		}

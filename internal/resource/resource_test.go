@@ -32,7 +32,7 @@ func macExt() *tie.Extension {
 	}
 }
 
-func run(t *testing.T, src string, ext *tie.Extension) (*tie.Compiled, *iss.Result) {
+func run(t *testing.T, src string, ext *tie.Extension) (*tie.Compiled, *iss.Result, []iss.TraceEntry) {
 	t.Helper()
 	proc, err := procgen.Generate(procgen.Default(), ext)
 	if err != nil {
@@ -42,11 +42,23 @@ func run(t *testing.T, src string, ext *tie.Extension) (*tie.Compiled, *iss.Resu
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := iss.New(proc).Run(prog, iss.Options{CollectTrace: true})
+	res, trace := recordTrace(t, proc, prog)
+	return proc.TIE, res, trace
+}
+
+// recordTrace runs prog on proc and returns the result and every
+// retired instruction, appended from the TraceSink's batches.
+func recordTrace(t *testing.T, proc *procgen.Processor, prog *iss.Program) (*iss.Result, []iss.TraceEntry) {
+	t.Helper()
+	var trace []iss.TraceEntry
+	res, err := iss.New(proc).Run(prog, iss.Options{TraceSink: func(batch []iss.TraceEntry) error {
+		trace = append(trace, batch...)
+		return nil
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return proc.TIE, res
+	return res, trace
 }
 
 const macSrc = `
@@ -61,7 +73,7 @@ loop:
 `
 
 func TestFromStatsCounts(t *testing.T) {
-	comp, res := run(t, macSrc, macExt())
+	comp, res, _ := run(t, macSrc, macExt())
 	vars, err := resource.FromStats(comp, &res.Stats)
 	if err != nil {
 		t.Fatal(err)
@@ -94,12 +106,12 @@ func TestFromStatsCounts(t *testing.T) {
 }
 
 func TestFromTraceMatchesFromStats(t *testing.T) {
-	comp, res := run(t, macSrc, macExt())
+	comp, res, trace := run(t, macSrc, macExt())
 	fromStats, err := resource.FromStats(comp, &res.Stats)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fromTrace, err := resource.FromTrace(comp, res.Trace)
+	fromTrace, err := resource.FromTrace(comp, trace)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +121,7 @@ func TestFromTraceMatchesFromStats(t *testing.T) {
 }
 
 func TestFromStatsBaseOnly(t *testing.T) {
-	comp, res := run(t, "movi a1, 5\n add a2, a1, a1\n ret\n", nil)
+	comp, res, _ := run(t, "movi a1, 5\n add a2, a1, a1\n ret\n", nil)
 	vars, err := resource.FromStats(comp, &res.Stats)
 	if err != nil {
 		t.Fatal(err)
@@ -156,15 +168,12 @@ func TestPathsAgreeOnAllWorkloads(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := iss.New(proc).Run(prog, iss.Options{CollectTrace: true})
-			if err != nil {
-				t.Fatal(err)
-			}
+			res, trace := recordTrace(t, proc, prog)
 			a, err := resource.FromStats(proc.TIE, &res.Stats)
 			if err != nil {
 				t.Fatal(err)
 			}
-			b, err := resource.FromTrace(proc.TIE, res.Trace)
+			b, err := resource.FromTrace(proc.TIE, trace)
 			if err != nil {
 				t.Fatal(err)
 			}

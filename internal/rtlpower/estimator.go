@@ -140,17 +140,15 @@ func scaleNets(nets, detail float64) int {
 	return n
 }
 
-// Technology returns the estimator's technology parameters.
-func (e *Estimator) Technology() Technology { return e.tech }
-
-// EstimateTrace runs the reference energy simulation over a trace
-// recorded by the ISS (Options.CollectTrace). The same trace can be
-// estimated repeatedly; results are deterministic for a given
+// EstimateTrace runs the reference energy simulation over a whole
+// trace, as appended from the ISS's TraceSink batches. The same trace
+// can be estimated repeatedly; results are deterministic for a given
 // technology seed. It is a thin wrapper over the streaming form
-// (Stream / StreamEstimator) and produces bit-identical reports.
+// (Stream / StreamEstimator) and produces bit-identical reports; the
+// equivalence tests use it as their oracle.
 func (e *Estimator) EstimateTrace(trace []iss.TraceEntry) (Report, error) {
 	if len(trace) == 0 {
-		return Report{}, fmt.Errorf("rtlpower: empty trace (was the ISS run with CollectTrace?)")
+		return Report{}, fmt.Errorf("rtlpower: empty trace")
 	}
 	s := e.Stream()
 	if err := s.Consume(trace); err != nil {

@@ -28,11 +28,8 @@ func runTrace(t *testing.T, src string, ext *tie.Extension) (*procgen.Processor,
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := iss.New(proc).Run(prog, iss.Options{CollectTrace: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return proc, res.Trace, &res.Stats
+	trace, res := rtlpower.RecordTrace(t, proc, prog)
+	return proc, trace, &res.Stats
 }
 
 const loopSrc = `

@@ -3,8 +3,6 @@ package rtlpower
 import (
 	"fmt"
 	"strings"
-
-	"xtenergy/internal/iss"
 )
 
 // ProfilePoint is one window of a power-versus-time profile.
@@ -61,29 +59,6 @@ func (a *ProfileAccumulator) Points() []ProfilePoint {
 		a.cur = ProfilePoint{StartCycle: a.cur.StartCycle + a.cur.Cycles}
 	}
 	return a.points
-}
-
-// Profile runs the reference energy simulation windowed over time,
-// returning one point per window of the given cycle length — the power
-// waveform view an RTL power tool produces. The sum of the window
-// energies equals the total of EstimateTrace on the same trace.
-func (e *Estimator) Profile(trace []iss.TraceEntry, windowCycles uint64) ([]ProfilePoint, error) {
-	if windowCycles == 0 {
-		return nil, fmt.Errorf("rtlpower: zero window length")
-	}
-	if len(trace) == 0 {
-		return nil, fmt.Errorf("rtlpower: empty trace")
-	}
-	acc := NewProfileAccumulator(windowCycles)
-	st := e.Stream()
-	st.OnEntry = acc.OnEntry
-	if err := st.Consume(trace); err != nil {
-		return nil, err
-	}
-	if _, err := st.Finish(); err != nil {
-		return nil, err
-	}
-	return acc.Points(), nil
 }
 
 // FormatProfile renders a power waveform as a text chart.

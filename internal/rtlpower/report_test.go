@@ -97,18 +97,23 @@ func TestBreakdownMismatchedReport(t *testing.T) {
 	}
 }
 
+// TestProfileSumsToTotal derives the power profile the way the product
+// does, from a ProfileAccumulator hooked into the stream's OnEntry: its
+// windows must sum to the report of the same pass.
 func TestProfileSumsToTotal(t *testing.T) {
 	proc, trace, _ := runTrace(t, loopSrc, nil)
 	e, _ := rtlpower.New(proc, rtlpower.FastTechnology())
-	total, err := e.EstimateTrace(trace)
+	acc := rtlpower.NewProfileAccumulator(100)
+	st := e.Stream()
+	st.OnEntry = acc.OnEntry
+	if err := st.Consume(trace); err != nil {
+		t.Fatal(err)
+	}
+	total, err := st.Finish()
 	if err != nil {
 		t.Fatal(err)
 	}
-	e2, _ := rtlpower.New(proc, rtlpower.FastTechnology())
-	points, err := e2.Profile(trace, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
+	points := acc.Points()
 	if len(points) < 3 {
 		t.Fatalf("profile has %d windows", len(points))
 	}
@@ -141,13 +146,18 @@ func TestProfileSumsToTotal(t *testing.T) {
 	}
 }
 
+// TestProfileErrors: a profiled stream that was fed nothing fails at
+// Finish and holds no window.
 func TestProfileErrors(t *testing.T) {
-	proc, trace, _ := runTrace(t, "ret\n", nil)
+	proc, _, _ := runTrace(t, "ret\n", nil)
 	e, _ := rtlpower.New(proc, rtlpower.FastTechnology())
-	if _, err := e.Profile(trace, 0); err == nil {
-		t.Fatal("zero window accepted")
-	}
-	if _, err := e.Profile(nil, 10); err == nil {
+	acc := rtlpower.NewProfileAccumulator(10)
+	st := e.Stream()
+	st.OnEntry = acc.OnEntry
+	if _, err := st.Finish(); err == nil {
 		t.Fatal("empty trace accepted")
+	}
+	if points := acc.Points(); len(points) != 0 {
+		t.Fatalf("empty trace produced %d windows", len(points))
 	}
 }

@@ -693,7 +693,7 @@ func (s *StreamEstimator) Finish() (Report, error) {
 		s.sched = nil
 	}
 	if s.entries == 0 {
-		return Report{}, errors.New("rtlpower: empty trace (was the ISS run with CollectTrace or a TraceSink?)")
+		return Report{}, errors.New("rtlpower: empty trace (was the ISS run with a TraceSink?)")
 	}
 	var total float64
 	for _, v := range s.perBlock {
@@ -739,9 +739,9 @@ func safeConsume(c Consumer, batch []iss.TraceEntry) (err error) {
 // consumer goroutine over a bounded channel, so simulation overlaps
 // with per-net estimation and the trace is never materialized. Batch
 // boundaries do not affect the estimate, so the result is deterministic
-// and bit-identical to EstimateTrace on the same run. Any
-// CollectTrace/TraceSink already in opts is overridden. The caller
-// still owns the consumer and, for a StreamEstimator, must call Finish.
+// and bit-identical to EstimateTrace on the same run. Any TraceSink
+// already in opts is overridden. The caller still owns the consumer
+// and, for a StreamEstimator, must call Finish.
 //
 // Cancelling ctx aborts the run within one batch boundary with a
 // FaultCancelled fault (the simulator polls the context, and a sink
@@ -776,7 +776,6 @@ func RunStreamed(ctx context.Context, sim *iss.Simulator, prog *iss.Program, opt
 		}
 	}()
 
-	opts.CollectTrace = false
 	opts.TraceSink = func(batch []iss.TraceEntry) error {
 		if failed.Load() {
 			return errStreamAborted

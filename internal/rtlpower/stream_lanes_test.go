@@ -91,17 +91,14 @@ func TestStreamLanesMatchSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := iss.New(proc).Run(prog, iss.Options{CollectTrace: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	trace, _ := RecordTrace(t, proc, prog)
 
-	wantRep, wantRecs := streamRun(t, proc, res.Trace, KernelPortable, true)
+	wantRep, wantRecs := streamRun(t, proc, trace, KernelPortable, true)
 
 	t.Run("lanes", func(t *testing.T) {
 		for _, k := range SupportedKernels() {
 			t.Run(k.String(), func(t *testing.T) {
-				gotRep, gotRecs := streamRun(t, proc, res.Trace, k, false)
+				gotRep, gotRecs := streamRun(t, proc, trace, k, false)
 				compareStreamRun(t, gotRep, wantRep, gotRecs, wantRecs)
 			})
 		}
@@ -155,12 +152,8 @@ loop:
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := iss.New(proc).Run(prog, iss.Options{CollectTrace: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	trace, _ := RecordTrace(t, proc, prog)
 	const badIdx = 100
-	trace := append([]iss.TraceEntry(nil), res.Trace...)
 	if len(trace) <= badIdx {
 		t.Fatalf("trace too short: %d entries", len(trace))
 	}
@@ -221,17 +214,14 @@ func TestScheduleSizedToChunk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := iss.New(proc).Run(prog, iss.Options{CollectTrace: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	trace, _ := RecordTrace(t, proc, prog)
 	e, err := New(proc, FastTechnology())
 	if err != nil {
 		t.Fatal(err)
 	}
 	st := e.Stream()
 	st.sched = new(schedule) // not a pooled one sized by an earlier, wider chunk
-	if err := st.Consume(res.Trace[:iss.TraceBatchSize]); err != nil {
+	if err := st.Consume(trace[:iss.TraceBatchSize]); err != nil {
 		t.Fatal(err)
 	}
 	sc := st.sched

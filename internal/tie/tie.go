@@ -187,10 +187,6 @@ func (e *Extension) Validate() error {
 	return nil
 }
 
-// Empty returns an extension with no custom instructions, representing a
-// pure base-processor configuration. It is nil-safe to compile.
-func Empty() *Extension { return nil }
-
 // Merge combines several extensions into one processor extension, the
 // way multiple TIE files combine into one configuration. Custom-register
 // indices are rebased transparently: each source extension's semantics

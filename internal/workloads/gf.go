@@ -95,54 +95,3 @@ func GFMacExtension() *tie.Extension {
 		},
 	}
 }
-
-// GFParExtension is choice C4: the generator coefficients live in a
-// custom register file (loaded once by setcoef), setfb latches the
-// feedback byte, and gfpar computes one full LFSR tap update
-// rs ^ fb*g[rt-index] without touching the coefficient in the general
-// register file.
-func GFParExtension() *tie.Extension {
-	return &tie.Extension{
-		Name:          "gfpar",
-		NumCustomRegs: 9, // fb + 8 generator coefficients
-		Instructions: []*tie.Instruction{
-			{
-				Name: "setfb", Latency: 1, ReadsGeneral: true,
-				Datapath: []tie.DatapathElem{
-					dp(hwlib.Component{Name: "gp_fb", Cat: hwlib.CustomRegister, Width: 8}, true),
-				},
-				Semantics: func(s *tie.State, op tie.Operands) uint32 {
-					s.Regs[0] = op.RsVal & 0xFF
-					return 0
-				},
-			},
-			{
-				Name: "setcoef", Latency: 1, ReadsGeneral: true,
-				Datapath: []tie.DatapathElem{
-					dp(hwlib.Component{Name: "gp_coefs", Cat: hwlib.CustomRegister, Width: 64}, true),
-				},
-				Semantics: func(s *tie.State, op tie.Operands) uint32 {
-					// rs = coefficient value, rt = coefficient index.
-					idx := 1 + int(op.RtVal)%8
-					s.Regs[idx] = op.RsVal & 0xFF
-					return 0
-				},
-			},
-			{
-				Name: "gfpar", Latency: 1, ReadsGeneral: true, WritesGeneral: true,
-				Datapath: []tie.DatapathElem{
-					dp(hwlib.Component{Name: "gp_tab", Cat: hwlib.Table, Width: 8, Entries: 512}, true),
-					dp(hwlib.Component{Name: "gp_add", Cat: hwlib.AddSubCmp, Width: 9}, false),
-					dp(hwlib.Component{Name: "gp_csa", Cat: hwlib.TIECsa, Width: 16}, false),
-					dp(hwlib.Component{Name: "gp_coefs", Cat: hwlib.CustomRegister, Width: 64}, false),
-					dp(hwlib.Component{Name: "gp_fb", Cat: hwlib.CustomRegister, Width: 8}, false),
-				},
-				Semantics: func(s *tie.State, op tie.Operands) uint32 {
-					// rs = parity byte from the previous tap, rt = tap index.
-					idx := 1 + int(op.RtVal)%8
-					return (op.RsVal ^ gfMulByte(s.Regs[0], s.Regs[idx])) & 0xFF
-				},
-			},
-		},
-	}
-}

@@ -46,9 +46,7 @@ type Itv struct{ Lo, Hi int64 }
 
 func itvTop() Itv            { return Itv{0, maxU32} }
 func itvConst(v uint32) Itv  { return Itv{int64(v), int64(v)} }
-func (a Itv) IsTop() bool    { return a.Lo == 0 && a.Hi == maxU32 }
 func (a Itv) IsConst() bool  { return a.Lo == a.Hi }
-func (a Itv) Width() int64   { return a.Hi - a.Lo }
 func (a Itv) String() string { return fmt.Sprintf("[%d,%d]", a.Lo, a.Hi) }
 
 // Contains reports whether v lies in the interval.

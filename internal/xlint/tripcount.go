@@ -43,9 +43,6 @@ type Trip struct {
 	Source string
 }
 
-// Bounded reports whether the trip count has a finite upper bound.
-func (t Trip) Bounded() bool { return !math.IsInf(t.Hi, 1) }
-
 // inferTrips bounds every back edge of the CFG using the converged
 // abstract states in abs.
 func inferTrips(cfg *CFG, abs *AbsResult) []Trip {

@@ -99,13 +99,6 @@ var knownCodes = []string{
 	"absint-mem-range",
 }
 
-// KnownCodes returns every finding code the analyzer can emit.
-func KnownCodes() []string {
-	out := make([]string, len(knownCodes))
-	copy(out, knownCodes)
-	return out
-}
-
 // ValidateCodes rejects finding codes the analyzer does not emit — the
 // guard behind cmd/xlint -disable, so a typo suppresses nothing
 // silently.
