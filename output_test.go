@@ -47,8 +47,9 @@ loop:
  ret
 `
 
-// outputRows lists the pinned invocations: xsim's trace modes and
-// xprofile over the whole registry, and the edge rows around them.
+// outputRows lists the pinned invocations: xsim's trace modes, xpower's
+// uncached reference report at both details and xprofile over the whole
+// registry, and the edge rows around them.
 func outputRows() [][]string {
 	var rows [][]string
 	names := workloads.Names()
@@ -68,6 +69,14 @@ func outputRows() [][]string {
 		[]string{"xsim", "-trace", "5", "-maxcycles", "100", "-w", "des"},
 		[]string{"xsim", "-trace", "4", "-json", "-w", "des"},
 		[]string{"xsim", "-trace", "6", "loop.s"})
+	// The reference estimator's rendered energies and per-window
+	// profiles, at the default detail and at -fast's.
+	for _, w := range names {
+		rows = append(rows,
+			[]string{"xpower", "-no-cache", "-w", w},
+			[]string{"xpower", "-no-cache", "-fast", "-w", w},
+			[]string{"xpower", "-no-cache", "-fast", "-profile", "500", "-w", w})
+	}
 	for _, w := range names {
 		rows = append(rows, []string{"xprofile", "-fast", "-top", "5", "-w", w})
 	}
