@@ -303,6 +303,7 @@ func TestCLIExitStatus(t *testing.T) {
 		{args: []string{"xpower", "-remote", live, "-w", "nosuch"}, status: 2, want: `remote invalid: unknown workload "nosuch"`},
 		{args: []string{"xlint", "-wcec", "-model", missing, "-w", "gcd"}, status: 2, want: "missing.json"},
 		{args: []string{"xsim", "-maxcycles", "100", "-w", "des"}, status: 2, want: "\nfault report:\n  kind:  watchdog\n"},
+		{args: []string{"xsim", "-trace", "-1", "-w", "gcd"}, status: 2, want: "-trace -1: N must not be negative"},
 		{args: []string{"xsim"}, status: 2, want: "\nxsim: need -list, -w <name>, or an assembly file\n", usage: true},
 		{args: []string{"xlint"}, status: 2, want: "\nxlint: need -list, -w <name>, or an assembly file\n", usage: true},
 		{args: []string{"xpower", "-bogus"}, status: 2, want: "flag provided but not defined: -bogus", usage: true},

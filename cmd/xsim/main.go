@@ -72,6 +72,9 @@ func faultReport(err error) error {
 }
 
 func run(ctx context.Context) error {
+	if *traceN < 0 {
+		return fmt.Errorf("-trace %d: N must not be negative", *traceN)
+	}
 	if *list {
 		cli.List(workloads.All(), true)
 		return nil
