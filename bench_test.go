@@ -284,7 +284,10 @@ func recordTrace(b *testing.B, proc *procgen.Processor, prog *iss.Program) []iss
 }
 
 // BenchmarkRTLPowerEstimate measures the structural reference estimator
-// alone (per recorded trace) at the default reduced resolution.
+// alone, per walker tier the host runs (WithKernel) at the default and
+// the -fast resolution. A recorded rs_base trace is fed in the ISS's
+// streamed batch size, as RunStreamed feeds it, and the result is
+// reported per simulated cycle.
 func BenchmarkRTLPowerEstimate(b *testing.B) {
 	w := workloads.ReedSolomonBase()
 	proc, prog, err := w.Build(procgen.Default())
@@ -292,14 +295,39 @@ func BenchmarkRTLPowerEstimate(b *testing.B) {
 		b.Fatal(err)
 	}
 	trace := recordTrace(b, proc, prog)
-	est, err := rtlpower.New(proc, rtlpower.FastTechnology())
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := est.EstimateTrace(trace); err != nil {
+	for _, tc := range []struct {
+		name string
+		tech rtlpower.Technology
+	}{
+		{"default", rtlpower.DefaultTechnology()},
+		{"fast", rtlpower.FastTechnology()},
+	} {
+		est, err := rtlpower.New(proc, tc.tech)
+		if err != nil {
 			b.Fatal(err)
+		}
+		for _, k := range rtlpower.SupportedKernels() {
+			tier, err := est.WithKernel(k)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.Run(tc.name+"/"+k.String(), func(b *testing.B) {
+				var cycles uint64
+				for i := 0; i < b.N; i++ {
+					st := tier.Stream()
+					for lo := 0; lo < len(trace); lo += iss.TraceBatchSize {
+						if err := st.Consume(trace[lo:min(lo+iss.TraceBatchSize, len(trace))]); err != nil {
+							b.Fatal(err)
+						}
+					}
+					rep, err := st.Finish()
+					if err != nil {
+						b.Fatal(err)
+					}
+					cycles += rep.Cycles
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(cycles), "ns/cycle")
+			})
 		}
 	}
 }
