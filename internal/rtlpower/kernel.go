@@ -16,7 +16,7 @@ const (
 	KernelPortable Kernel = iota
 	// KernelAVX2 is the 16-lane amd64 kernel (lanes16_amd64.s).
 	KernelAVX2
-	// KernelAVX512 is the 32-lane amd64 kernel (lanes32_amd64.s).
+	// KernelAVX512 is the 64-lane amd64 kernel (lanes64_amd64.s).
 	KernelAVX512
 	// KernelNEON is the 8-lane arm64 kernel (lanes_arm64.s).
 	KernelNEON
@@ -42,7 +42,7 @@ func (k Kernel) width() int {
 	case KernelAVX2:
 		return 16
 	case KernelAVX512:
-		return 32
+		return 64
 	}
 	return 8
 }

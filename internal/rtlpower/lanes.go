@@ -50,15 +50,15 @@ type walk16 struct {
 	st     [16]uint32
 }
 
-// walk32 is the argument block of one 32-lane walk, the AVX-512 tier's
-// form of walk8. Field offsets are hardcoded in lanes32_amd64.s and
-// pinned by TestWalk32Layout.
-type walk32 struct {
+// walk64 is the argument block of one 64-lane walk, the AVX-512 tier's
+// form of walk8. Field offsets are hardcoded in lanes64_amd64.s and
+// pinned by TestWalk64Layout.
+type walk64 struct {
 	recs   []laneRec
 	counts []uint32
-	off    [32]uint32
-	cnt    [32]uint32
-	st     [32]uint32
+	off    [64]uint32
+	cnt    [64]uint32
+	st     [64]uint32
 }
 
 // sentinelRem marks an exhausted lane. Chunk totals are capped below
@@ -163,14 +163,14 @@ func countStripes8Go(w *walk8) {
 }
 
 // countStripesWideGo is the portable lockstep walker at any lane width
-// up to 32: the width-generic twin of countStripes8Go, used as the
+// up to 64: the width-generic twin of countStripes8Go, used as the
 // reference implementation and non-amd64 fallback for the wide (AVX2 /
 // AVX-512) argument blocks. Within a round the lanes advance
 // sequentially instead of interleaved, which changes nothing observable
 // — per-lane chains are independent and counts are integers.
 func countStripesWideGo(recs []laneRec, counts []uint32, off, cnt, st []uint32) {
 	width := len(off)
-	var rem, thr, acc, slot [32]uint32
+	var rem, thr, acc, slot [64]uint32
 	active := 0
 	for j := 0; j < width; j++ {
 		rem[j] = sentinelRem
@@ -222,13 +222,13 @@ func countStripesWideGo(recs []laneRec, counts []uint32, off, cnt, st []uint32) 
 	}
 }
 
-// countStripes16Go and countStripes32Go run the portable walker over
+// countStripes16Go and countStripes64Go run the portable walker over
 // the wide argument blocks; they are the differential references for
 // the AVX2 and AVX-512 kernels.
 func countStripes16Go(w *walk16) {
 	countStripesWideGo(w.recs, w.counts, w.off[:], w.cnt[:], w.st[:])
 }
 
-func countStripes32Go(w *walk32) {
+func countStripes64Go(w *walk64) {
 	countStripesWideGo(w.recs, w.counts, w.off[:], w.cnt[:], w.st[:])
 }

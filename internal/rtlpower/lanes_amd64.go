@@ -11,15 +11,16 @@ package rtlpower
 //go:noescape
 func countStripes16AVX2(w *walk16)
 
-// countStripes32AVX512 is the 32-lane AVX-512 tier (lanes32_amd64.s):
-// two 16-wide ZMM vectors, unsigned VPCMPUD compares into opmasks and
-// masked counter adds — no sign-bias trick needed. Requires the
-// F+BW+DQ+VL subset (cpufeat.AVX512).
+// countStripes64AVX512 is the 64-lane AVX-512 tier (lanes64_amd64.s):
+// four 16-wide ZMM vectors advanced together on one round clock,
+// unsigned VPCMPUD compares into opmasks and masked counter adds — no
+// sign-bias trick needed. Requires the F+BW+DQ+VL subset
+// (cpufeat.AVX512).
 //
 //go:noescape
-func countStripes32AVX512(w *walk32)
+func countStripes64AVX512(w *walk64)
 
-// countStripes16 and countStripes32 run the wide walks; on amd64 the
+// countStripes16 and countStripes64 run the wide walks; on amd64 the
 // dispatch ladder only selects them on feature-checked hosts.
 func countStripes16(w *walk16) { countStripes16AVX2(w) }
-func countStripes32(w *walk32) { countStripes32AVX512(w) }
+func countStripes64(w *walk64) { countStripes64AVX512(w) }

@@ -63,10 +63,10 @@ func TestWalk16Layout(t *testing.T) {
 	}
 }
 
-// TestWalk32Layout pins the struct layout lanes32_amd64.s hardcodes.
-func TestWalk32Layout(t *testing.T) {
+// TestWalk64Layout pins the struct layout lanes64_amd64.s hardcodes.
+func TestWalk64Layout(t *testing.T) {
 	skipOn32Bit(t)
-	var w walk32
+	var w walk64
 	offs := []struct {
 		name string
 		got  uintptr
@@ -75,12 +75,12 @@ func TestWalk32Layout(t *testing.T) {
 		{"recs", unsafe.Offsetof(w.recs), 0},
 		{"counts", unsafe.Offsetof(w.counts), 24},
 		{"off", unsafe.Offsetof(w.off), 48},
-		{"cnt", unsafe.Offsetof(w.cnt), 176},
-		{"st", unsafe.Offsetof(w.st), 304},
+		{"cnt", unsafe.Offsetof(w.cnt), 304},
+		{"st", unsafe.Offsetof(w.st), 560},
 	}
 	for _, o := range offs {
 		if o.got != o.want {
-			t.Errorf("offsetof(walk32.%s) = %d, want %d", o.name, o.got, o.want)
+			t.Errorf("offsetof(walk64.%s) = %d, want %d", o.name, o.got, o.want)
 		}
 	}
 }
@@ -265,27 +265,27 @@ func TestCountStripes16MatchesOracle(t *testing.T) {
 	}
 }
 
-// TestCountStripes32MatchesOracle is the 32-lane (AVX-512) twin.
-func TestCountStripes32MatchesOracle(t *testing.T) {
+// TestCountStripes64MatchesOracle is the 64-lane (AVX-512) twin.
+func TestCountStripes64MatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 300; trial++ {
 		nslots := 1 + rng.Intn(6)
-		w := &walk32{counts: make([]uint32, nslots)}
-		w.recs = randomLanes(rng, nslots, 32, w.off[:], w.cnt[:], w.st[:])
+		w := &walk64{counts: make([]uint32, nslots)}
+		w.recs = randomLanes(rng, nslots, 64, w.off[:], w.cnt[:], w.st[:])
 
 		want := make([]uint32, nslots)
 		wideOracle(w.recs, want, append([]uint32(nil), w.off[:]...), append([]uint32(nil), w.cnt[:]...), append([]uint32(nil), w.st[:]...))
 
 		gotGo := *w
 		gotGo.counts = make([]uint32, nslots)
-		countStripes32Go(&gotGo)
-		compareCounts(t, "countStripes32Go", trial, want, gotGo.counts)
+		countStripes64Go(&gotGo)
+		compareCounts(t, "countStripes64Go", trial, want, gotGo.counts)
 
 		if kernelSupported(KernelAVX512) {
 			gotAsm := *w
 			gotAsm.counts = make([]uint32, nslots)
-			countStripes32(&gotAsm)
-			compareCounts(t, "countStripes32AVX512", trial, want, gotAsm.counts)
+			countStripes64(&gotAsm)
+			compareCounts(t, "countStripes64AVX512", trial, want, gotAsm.counts)
 		}
 	}
 }

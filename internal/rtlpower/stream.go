@@ -28,7 +28,7 @@ import (
 // pure function of the trace entry and its plan record — and the
 // schedule's one serial draw chain is then counted by jump-ahead lanes
 // (see lanes.go and jump.go) instead of one latency-bound xorshift
-// recurrence — 8, 16, or 32 lanes wide depending on the estimator's
+// recurrence — 8, 16, or 64 lanes wide depending on the estimator's
 // kernel tier (see kernel.go). The lanes enumerate exactly the states the
 // sequential walk would, toggle counts are integers, and the energy
 // fold replays the float operations in the sequential order, so
@@ -144,7 +144,7 @@ type schedule struct {
 	laneStates []uint32
 	walk8      walk8
 	walk16     walk16
-	walk32     walk32
+	walk64     walk64
 }
 
 // schedPool recycles schedule scratch across StreamEstimators. A
@@ -177,7 +177,7 @@ func (sc *schedule) begin(nentries, nblocks int) {
 }
 
 // maxWalkLanes sizes width-independent scratch for the widest tier.
-const maxWalkLanes = 32
+const maxWalkLanes = 64
 
 // maxConsumeEntries is the largest chunk Consume compiles at once.
 // Bigger chunks amortize the per-chunk fixed costs (jump-ahead lane
@@ -562,11 +562,11 @@ func (s *StreamEstimator) countChunkLanes(sc *schedule) {
 	s.rng = JumpAhead(s.rng, sc.total)
 
 	switch lanes {
-	case 32:
-		w := &sc.walk32
+	case 64:
+		w := &sc.walk64
 		w.recs, w.counts = sc.recs, sc.counts
 		sc.fillLanes(w.off[:], w.cnt[:], w.st[:])
-		countStripes32(w)
+		countStripes64(w)
 	case 16:
 		w := &sc.walk16
 		w.recs, w.counts = sc.recs, sc.counts
