@@ -16,7 +16,7 @@ package cpufeat
 var (
 	// AVX2 reports 256-bit integer SIMD (and the OS saving YMM state).
 	AVX2 bool
-	// AVX512 reports the F+BW+DQ+VL subset the 32-lane walker needs
+	// AVX512 reports the F+BW+DQ+VL subset the 64-lane walker needs
 	// (and the OS saving ZMM/opmask state).
 	AVX512 bool
 	// NEON reports AArch64 Advanced SIMD.
