@@ -47,16 +47,26 @@ loop:
  ret
 `
 
-// outputRows lists the pinned invocations: xsim's trace modes, xpower's
-// uncached reference report at both details and xprofile over the whole
-// registry, and the edge rows around them.
+// outputRows lists the pinned invocations: xsim's trace, -vars and
+// -json modes, xlint's four report modes, xpower's uncached reference
+// report at both details and xprofile over the whole registry, and the
+// edge rows around them.
 func outputRows() [][]string {
 	var rows [][]string
 	names := workloads.Names()
 	for _, w := range names {
 		rows = append(rows,
 			[]string{"xsim", "-trace", "7", "-w", w},
-			[]string{"xsim", "-trace", "3", "-vars", "-w", w})
+			[]string{"xsim", "-trace", "3", "-vars", "-w", w},
+			[]string{"xsim", "-vars", "-w", w},
+			[]string{"xsim", "-json", "-w", w})
+	}
+	for _, w := range names {
+		rows = append(rows,
+			[]string{"xlint", "-w", w},
+			[]string{"xlint", "-json", "-notes", "-w", w},
+			[]string{"xlint", "-wcec", "-json", "-w", w},
+			[]string{"xlint", "-energy-bounds", "-w", w})
 	}
 	rows = append(rows,
 		// Around the 256-entry trace batch, and past the end of the run.
