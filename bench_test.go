@@ -136,7 +136,7 @@ func BenchmarkSpeedupMacroModel(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	w, _ := workloads.ApplicationByName("des")
+	w := workloads.DES()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := cr.Model.EstimateWorkload(s.Config, w); err != nil {
@@ -149,7 +149,7 @@ func BenchmarkSpeedupRTLReference(b *testing.B) {
 	s := sharedSuite(b)
 	tech := s.Tech
 	tech.Detail = 1.0
-	w, _ := workloads.ApplicationByName("des")
+	w := workloads.DES()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := core.ReferenceEnergy(context.Background(), s.Config, tech, w); err != nil {
@@ -183,7 +183,7 @@ func BenchmarkISS(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	w, _ := workloads.ApplicationByName("bubsort")
+	w := workloads.Bubsort()
 	prog, err := asm.New(proc.TIE).Assemble(w.Name, w.Source)
 	if err != nil {
 		// bubsort uses custom mnemonics; fall back to a base program.

@@ -1,6 +1,7 @@
 package analyzers_test
 
 import (
+	"context"
 	"path/filepath"
 	"runtime"
 	"strings"
@@ -48,7 +49,7 @@ func find(all []*analyzers.Analyzer, name string) *analyzers.Analyzer {
 // whole module must report nothing. Any finding here is a real invariant
 // violation in production code.
 func TestRepoIsClean(t *testing.T) {
-	pkgs, err := analyzers.Load(moduleRoot(t))
+	pkgs, err := analyzers.LoadContext(context.Background(), moduleRoot(t))
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
@@ -64,7 +65,7 @@ func TestRepoIsClean(t *testing.T) {
 // per-retire core (ISS step, trace pricing) must stay marked, or the
 // hotpath analyzer silently stops covering it.
 func TestHotPathDirectivesPresent(t *testing.T) {
-	pkgs, err := analyzers.Load(moduleRoot(t), "./internal/iss", "./internal/rtlpower")
+	pkgs, err := analyzers.LoadContext(context.Background(), moduleRoot(t), "./internal/iss", "./internal/rtlpower")
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}

@@ -52,19 +52,6 @@ func runHotPath(p *Pass) []Diagnostic {
 	return out
 }
 
-// HotPathFuncs returns the names of the functions in f carrying the
-// hotpath directive, so tests can assert the per-retire core stays
-// annotated.
-func HotPathFuncs(f *ast.File) []string {
-	var names []string
-	for _, decl := range f.Decls {
-		if fd, isFunc := decl.(*ast.FuncDecl); isFunc && hasHotPathDirective(fd) {
-			names = append(names, fd.Name.Name)
-		}
-	}
-	return names
-}
-
 func hasHotPathDirective(fd *ast.FuncDecl) bool {
 	if fd.Doc == nil {
 		return false

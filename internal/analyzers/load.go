@@ -44,15 +44,10 @@ type listEntry struct {
 	Error      *struct{ Err string }
 }
 
-// Load lists, parses, and type-checks the packages matching patterns in
-// dir (the module root or any directory inside it). Test files are not
-// included — the invariants under analysis are production-code
-// properties.
-func Load(dir string, patterns ...string) ([]*Package, error) {
-	return LoadContext(context.Background(), dir, patterns...)
-}
-
-// LoadContext is Load bounded by ctx: cancellation kills the go tool
+// LoadContext lists, parses, and type-checks the packages matching
+// patterns in dir (the module root or any directory inside it). Test
+// files are not included — the invariants under analysis are
+// production-code properties. Cancelling ctx kills the go tool
 // subprocess (the one long leg of a load) and aborts the type-check
 // between packages.
 func LoadContext(ctx context.Context, dir string, patterns ...string) ([]*Package, error) {
@@ -142,58 +137,6 @@ func newInfo() *types.Info {
 		Uses:       make(map[*ast.Ident]types.Object),
 		Selections: make(map[*ast.SelectorExpr]*types.Selection),
 	}
-}
-
-// CheckSource type-checks synthetic source files under the given import
-// path against an importer fed by a previously loaded module — the
-// negative-test harness, so analyzer tests can exercise violations
-// without planting them in the real tree.
-func CheckSource(pkgPath string, srcs map[string]string, exportsFrom string) (*Package, error) {
-	args := []string{"list", "-e", "-json", "-export", "-deps", "std", "./..."}
-	cmd := exec.Command("go", args...)
-	cmd.Dir = exportsFrom
-	var stdout, stderr bytes.Buffer
-	cmd.Stdout = &stdout
-	cmd.Stderr = &stderr
-	if err := cmd.Run(); err != nil {
-		return nil, fmt.Errorf("analyzers: go list std: %v\n%s", err, stderr.String())
-	}
-	exports := make(map[string]string)
-	dec := json.NewDecoder(&stdout)
-	for {
-		var e listEntry
-		if err := dec.Decode(&e); err == io.EOF {
-			break
-		} else if err != nil {
-			return nil, fmt.Errorf("analyzers: go list output: %v", err)
-		}
-		if e.Export != "" {
-			exports[e.ImportPath] = e.Export
-		}
-	}
-	lookup := func(path string) (io.ReadCloser, error) {
-		f, ok := exports[path]
-		if !ok {
-			return nil, fmt.Errorf("analyzers: no export data for %q", path)
-		}
-		return os.Open(f)
-	}
-	fset := token.NewFileSet()
-	var files []*ast.File
-	for name, src := range srcs {
-		f, err := parser.ParseFile(fset, name, src, parser.ParseComments)
-		if err != nil {
-			return nil, fmt.Errorf("analyzers: %v", err)
-		}
-		files = append(files, f)
-	}
-	info := newInfo()
-	conf := types.Config{Importer: importer.ForCompiler(fset, "gc", lookup)}
-	tpkg, err := conf.Check(pkgPath, fset, files, info)
-	if err != nil {
-		return nil, fmt.Errorf("analyzers: typecheck %s: %v", pkgPath, err)
-	}
-	return &Package{PkgPath: pkgPath, Fset: fset, Files: files, Types: tpkg, Info: info}, nil
 }
 
 // isIssPackage gates the internal/iss-specific analyzers so synthetic

@@ -43,7 +43,6 @@ import (
 // Assembler translates XT32 assembly source into executable programs.
 type Assembler struct {
 	custom map[string]customDef
-	checks []func(*iss.Program) error
 }
 
 type customDef struct {
@@ -51,31 +50,15 @@ type customDef struct {
 	imm bool // third operand is a small signed constant
 }
 
-// Option configures an Assembler.
-type Option func(*Assembler)
-
-// WithProgramCheck registers a validation pass that runs over every
-// successfully assembled program before Assemble returns it; a non-nil
-// error fails the assembly. This is how callers plug in analyses that
-// live above the assembler in the dependency graph (xlint.AsmCheck wraps
-// the static analyzer into this shape) without the assembler importing
-// them.
-func WithProgramCheck(check func(*iss.Program) error) Option {
-	return func(a *Assembler) { a.checks = append(a.checks, check) }
-}
-
 // New returns an assembler that recognizes the custom-instruction
 // mnemonics of comp (pass the result of tie.Compile; a base-only
 // compiled extension is fine).
-func New(comp *tie.Compiled, opts ...Option) *Assembler {
+func New(comp *tie.Compiled) *Assembler {
 	a := &Assembler{custom: make(map[string]customDef)}
 	if comp != nil && comp.Ext != nil {
 		for id, in := range comp.Ext.Instructions {
 			a.custom[in.Name] = customDef{id: uint8(id), imm: in.ImmOperand}
 		}
-	}
-	for _, opt := range opts {
-		opt(a)
 	}
 	return a
 }
@@ -320,11 +303,6 @@ func (a *Assembler) Assemble(name, src string) (*iss.Program, error) {
 	}
 	if err := checkTargets(prog); err != nil {
 		return nil, err
-	}
-	for _, check := range a.checks {
-		if err := check(prog); err != nil {
-			return nil, err
-		}
 	}
 	return prog, nil
 }
@@ -693,14 +671,4 @@ func isIdent(s string) bool {
 		}
 	}
 	return true
-}
-
-// MustAssemble is a convenience for statically known-good sources (used
-// by the built-in workload suite); it panics on error.
-func MustAssemble(a *Assembler, name, src string) *iss.Program {
-	p, err := a.Assemble(name, src)
-	if err != nil {
-		panic(err)
-	}
-	return p
 }

@@ -1,6 +1,7 @@
 package asm
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -172,11 +173,8 @@ func TestUncachedSection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []bool{false, true, true, false}
-	for i, w := range want {
-		if prog.IsUncached(i) != w {
-			t.Fatalf("uncached[%d] = %v, want %v", i, prog.IsUncached(i), w)
-		}
+	if want := []bool{false, true, true, false}; !slices.Equal(prog.Uncached, want) {
+		t.Fatalf("uncached = %v, want %v", prog.Uncached, want)
 	}
 }
 
@@ -296,15 +294,6 @@ end:
 	if prog.Code[0].Imm != 2 {
 		t.Fatalf("end label = %d, want 2 (end of code)", prog.Code[0].Imm)
 	}
-}
-
-func TestMustAssemblePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MustAssemble did not panic on bad source")
-		}
-	}()
-	MustAssemble(baseAsm(t), "p", "    bogus\n")
 }
 
 func TestNumericFormats(t *testing.T) {
@@ -433,13 +422,6 @@ func TestMoreOperandErrors(t *testing.T) {
 	// Data label before .data is rejected.
 	if _, err := baseAsm(t).Assemble("p", ".data 0x100\n.text\n    nop\n.word 3\n"); err == nil {
 		t.Error(".word after .text accepted")
-	}
-}
-
-func TestMustAssembleSucceeds(t *testing.T) {
-	prog := MustAssemble(baseAsm(t), "p", "    ret\n")
-	if len(prog.Code) != 1 {
-		t.Fatal("MustAssemble wrong")
 	}
 }
 

@@ -2,12 +2,10 @@ package asm
 
 import (
 	"errors"
-	"fmt"
 	"strings"
 	"testing"
 
 	"xtenergy/internal/hwlib"
-	"xtenergy/internal/iss"
 	"xtenergy/internal/tie"
 )
 
@@ -105,33 +103,5 @@ done:
 	}
 	if prog.Line(-1) != 0 || prog.Line(len(prog.Code)) != 0 {
 		t.Error("out-of-range Line() must return 0")
-	}
-}
-
-// TestWithProgramCheck verifies that registered checks run on the
-// assembled program and that their errors fail the assembly.
-func TestWithProgramCheck(t *testing.T) {
-	comp, err := tie.Compile(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var seen *iss.Program
-	ok := New(comp, WithProgramCheck(func(p *iss.Program) error {
-		seen = p
-		return nil
-	}))
-	prog, err := ok.Assemble("p", "    nop\n    ret\n")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seen != prog {
-		t.Fatal("check did not receive the assembled program")
-	}
-
-	bad := New(comp, WithProgramCheck(func(p *iss.Program) error {
-		return fmt.Errorf("lint: program %s rejected", p.Name)
-	}))
-	if _, err := bad.Assemble("p", "    nop\n"); err == nil || !strings.Contains(err.Error(), "rejected") {
-		t.Fatalf("check error not propagated: %v", err)
 	}
 }

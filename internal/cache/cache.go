@@ -76,8 +76,6 @@ type Cache struct {
 	// lru[set*ways+way] holds a recency stamp; larger = more recent.
 	lru   []uint64
 	clock uint64
-
-	hits, misses uint64
 }
 
 // New builds a cache from cfg. It panics if cfg is invalid; use
@@ -103,9 +101,6 @@ func New(cfg Config) *Cache {
 	}
 }
 
-// Sets returns the number of sets.
-func (c *Cache) Sets() int { return c.sets }
-
 // Access performs one access at byte address addr and returns whether it
 // hit. On a miss the line is allocated (LRU victim within the set).
 func (c *Cache) Access(addr uint32) bool {
@@ -118,7 +113,6 @@ func (c *Cache) Access(addr uint32) bool {
 		i := base + w
 		if c.valid[i] && c.tags[i] == tag {
 			c.lru[i] = c.clock
-			c.hits++
 			return true
 		}
 	}
@@ -137,43 +131,19 @@ func (c *Cache) Access(addr uint32) bool {
 	c.tags[victim] = tag
 	c.valid[victim] = true
 	c.lru[victim] = c.clock
-	c.misses++
 	return false
 }
-
-// Probe reports whether addr would hit, without updating any state.
-func (c *Cache) Probe(addr uint32) bool {
-	line := addr >> c.lineShift
-	set := int(line & c.setMask)
-	tag := line >> uint(bitsFor(c.sets))
-	base := set * c.cfg.Ways
-	for w := 0; w < c.cfg.Ways; w++ {
-		i := base + w
-		if c.valid[i] && c.tags[i] == tag {
-			return true
-		}
-	}
-	return false
-}
-
-// Hits returns the cumulative hit count.
-func (c *Cache) Hits() uint64 { return c.hits }
-
-// Misses returns the cumulative miss count.
-func (c *Cache) Misses() uint64 { return c.misses }
 
 // MissPenalty returns the configured per-miss stall in cycles.
 func (c *Cache) MissPenalty() int { return c.cfg.MissPenalty }
 
-// Reset invalidates all lines and clears statistics.
+// Reset invalidates all lines.
 func (c *Cache) Reset() {
 	for i := range c.valid {
 		c.valid[i] = false
 		c.lru[i] = 0
 	}
 	c.clock = 0
-	c.hits = 0
-	c.misses = 0
 }
 
 func bitsFor(n int) int {

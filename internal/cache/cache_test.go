@@ -35,10 +35,6 @@ func TestDefaultGeometry(t *testing.T) {
 			t.Fatalf("default geometry %+v, want 4-way 16KB", cfg)
 		}
 	}
-	c := New(DefaultI())
-	if c.Sets() != 16*1024/32/4 {
-		t.Fatalf("sets = %d", c.Sets())
-	}
 }
 
 func TestColdMissThenHit(t *testing.T) {
@@ -54,9 +50,6 @@ func TestColdMissThenHit(t *testing.T) {
 	}
 	if c.Access(0x120) { // next line
 		t.Fatal("next-line cold access hit")
-	}
-	if c.Hits() != 2 || c.Misses() != 2 {
-		t.Fatalf("hits=%d misses=%d, want 2/2", c.Hits(), c.Misses())
 	}
 }
 
@@ -105,28 +98,11 @@ func TestLRUOrdering(t *testing.T) {
 	}
 }
 
-func TestProbeDoesNotMutate(t *testing.T) {
-	c := New(DefaultD())
-	if c.Probe(0x40) {
-		t.Fatal("probe hit cold cache")
-	}
-	if c.Hits() != 0 || c.Misses() != 0 {
-		t.Fatal("probe changed statistics")
-	}
-	c.Access(0x40)
-	if !c.Probe(0x40) {
-		t.Fatal("probe missed resident line")
-	}
-}
-
 func TestReset(t *testing.T) {
 	c := New(DefaultI())
 	c.Access(0)
 	c.Access(0)
 	c.Reset()
-	if c.Hits() != 0 || c.Misses() != 0 {
-		t.Fatal("reset did not clear statistics")
-	}
 	if c.Access(0) {
 		t.Fatal("line survived reset")
 	}
@@ -152,7 +128,6 @@ func TestWorkingSetFitsAfterWarmup(t *testing.T) {
 	for _, a := range addrs {
 		c.Access(a)
 	}
-	missesAfterWarm := c.Misses()
 	r := rand.New(rand.NewSource(1))
 	for pass := 0; pass < 4; pass++ {
 		r.Shuffle(len(addrs), func(i, j int) { addrs[i], addrs[j] = addrs[j], addrs[i] })
@@ -162,40 +137,22 @@ func TestWorkingSetFitsAfterWarmup(t *testing.T) {
 			}
 		}
 	}
-	if c.Misses() != missesAfterWarm {
-		t.Fatal("misses grew on a fitting working set")
-	}
 }
 
 func TestThrashingWorkingSetMisses(t *testing.T) {
 	// A strided working set twice the cache size must keep missing.
 	c := New(DefaultD())
-	var misses uint64
+	var misses int
 	for pass := 0; pass < 3; pass++ {
-		before := c.Misses()
+		misses = 0
 		for a := uint32(0); a < 32*1024; a += 32 {
-			c.Access(a)
+			if !c.Access(a) {
+				misses++
+			}
 		}
-		misses = c.Misses() - before
 	}
 	if misses != 1024 { // every line of the final pass must miss
 		t.Fatalf("final pass misses = %d, want 1024", misses)
-	}
-}
-
-// Property: hits + misses == total accesses.
-func TestAccountingProperty(t *testing.T) {
-	f := func(seed int64, n uint8) bool {
-		c := New(Config{SizeBytes: 1024, LineBytes: 32, Ways: 2, MissPenalty: 5})
-		r := rand.New(rand.NewSource(seed))
-		total := int(n) + 1
-		for i := 0; i < total; i++ {
-			c.Access(uint32(r.Intn(4096)))
-		}
-		return c.Hits()+c.Misses() == uint64(total)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -95,12 +95,9 @@ type Failure struct {
 	// Attempts is how many times the leg was tried (1 + retries used).
 	Attempts int
 	// Err is the last attempt's error; when the leg failed with a
-	// typed fault it is reachable via errors.As or Failure.Fault.
+	// typed fault it is reachable via iss.AsFault.
 	Err error
 }
-
-// Fault returns the typed fault behind the failure, if any.
-func (f Failure) Fault() (*iss.Fault, bool) { return iss.AsFault(f.Err) }
 
 // Kind returns the fault-kind label for reports ("mem-fault",
 // "watchdog", ...), or "error" for untyped failures.

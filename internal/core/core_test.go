@@ -58,19 +58,19 @@ func fastChar(t *testing.T) *core.CharacterizationResult {
 }
 
 func TestVarNames(t *testing.T) {
-	names := core.VarNames()
-	if len(names) != core.NumVars || core.NumVars != 21 {
-		t.Fatalf("got %d variables, want the paper's 21", len(names))
+	if core.NumVars != 21 {
+		t.Fatalf("got %d variables, want the paper's 21", core.NumVars)
 	}
 	seen := map[string]bool{}
-	for _, n := range names {
+	for i := 0; i < core.NumVars; i++ {
+		n := core.VarName(i)
 		if n == "" || seen[n] {
 			t.Fatalf("bad or duplicate variable name %q", n)
 		}
 		seen[n] = true
 	}
-	if names[0] != "arith" || names[core.VCustomBase] != "hw:mult" {
-		t.Fatalf("variable order wrong: %v", names)
+	if core.VarName(0) != "arith" || core.VarName(core.VCustomBase) != "hw:mult" {
+		t.Fatalf("variable order wrong: %q, %q", core.VarName(0), core.VarName(core.VCustomBase))
 	}
 	if core.VarName(-1) == "" || core.VarName(999) == "" {
 		t.Fatal("out-of-range VarName empty")
@@ -164,16 +164,20 @@ func TestCharacterizeGeneralizes(t *testing.T) {
 	cr := fastChar(t)
 	// Held-out applications (not in the training suite).
 	for _, name := range []string{"alphablend", "des", "gcd"} {
-		w, ok := workloads.ApplicationByName(name)
+		w, ok := workloads.ByName(name)
 		if !ok {
 			t.Fatal("application missing")
 		}
-		cmp, err := cr.Model.Compare(context.Background(), procgen.Default(), rtlpower.FastTechnology(), w)
+		est, err := cr.Model.EstimateWorkload(procgen.Default(), w)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if math.Abs(cmp.RelErrPct) > 12 {
-			t.Fatalf("%s held-out error %.1f%%, model does not generalize", name, cmp.RelErrPct)
+		ref, err := core.ReferenceEnergy(context.Background(), procgen.Default(), rtlpower.FastTechnology(), w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if relErr := 100 * (est.EnergyPJ - ref.EnergyPJ) / ref.EnergyPJ; math.Abs(relErr) > 12 {
+			t.Fatalf("%s held-out error %.1f%%, model does not generalize", name, relErr)
 		}
 	}
 }
@@ -243,17 +247,6 @@ func TestReferenceEnergy(t *testing.T) {
 	}
 }
 
-func TestCoefByName(t *testing.T) {
-	cr := fastChar(t)
-	v, err := cr.Model.CoefByName("arith")
-	if err != nil || v != cr.Model.Coef[core.VArith] {
-		t.Fatalf("CoefByName arith = %g, %v", v, err)
-	}
-	if _, err := cr.Model.CoefByName("nope"); err == nil {
-		t.Fatal("bogus name accepted")
-	}
-}
-
 func TestEstimatePJLinear(t *testing.T) {
 	m := &core.MacroModel{}
 	m.Coef[core.VArith] = 2
@@ -275,7 +268,7 @@ func TestEstimatePJLinear(t *testing.T) {
 func TestCustomCoefficientsNearTruth(t *testing.T) {
 	cr := fastChar(t)
 	truth := rtlpower.DefaultTechnology().CustomUnitPJ
-	for _, cat := range hwlib.Categories() {
+	for cat := hwlib.Category(0); cat < hwlib.NumCategories; cat++ {
 		got := cr.Model.Coef[core.VCustomBase+int(cat)]
 		want := truth[cat]
 		if math.Abs(got-want) > 0.6*want+80 {
@@ -303,7 +296,7 @@ func TestCoefficientStandardErrors(t *testing.T) {
 
 func TestBreakdownSumsToEstimate(t *testing.T) {
 	cr := fastChar(t)
-	w, _ := workloads.ApplicationByName("des")
+	w := workloads.DES()
 	est, err := cr.Model.EstimateWorkload(procgen.Default(), w)
 	if err != nil {
 		t.Fatal(err)

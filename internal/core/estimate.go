@@ -86,34 +86,6 @@ func ReferenceEnergy(ctx context.Context, cfg procgen.Config, tech rtlpower.Tech
 	}, nil
 }
 
-// Comparison pairs the fast estimate with the reference measurement for
-// one application (one row of the paper's Table II).
-type Comparison struct {
-	Name        string
-	EstimatePJ  float64
-	ReferencePJ float64
-	// RelErrPct is 100*(Estimate-Reference)/Reference, the signed error
-	// percentage as reported in Table II.
-	RelErrPct float64
-}
-
-// Compare runs both paths for a workload and reports the error.
-func (m *MacroModel) Compare(ctx context.Context, cfg procgen.Config, tech rtlpower.Technology, w Workload) (Comparison, error) {
-	est, err := m.EstimateWorkload(cfg, w)
-	if err != nil {
-		return Comparison{}, err
-	}
-	ref, err := ReferenceEnergy(ctx, cfg, tech, w)
-	if err != nil {
-		return Comparison{}, err
-	}
-	c := Comparison{Name: w.Name, EstimatePJ: est.EnergyPJ, ReferencePJ: ref.EnergyPJ}
-	if ref.EnergyPJ != 0 {
-		c.RelErrPct = 100 * (est.EnergyPJ - ref.EnergyPJ) / ref.EnergyPJ
-	}
-	return c, nil
-}
-
 // Contribution is one macro-model term of an estimate.
 type Contribution struct {
 	// Variable is the macro-model variable name.

@@ -69,15 +69,6 @@ func VarName(i int) string {
 	return fmt.Sprintf("var(%d)", i)
 }
 
-// VarNames returns all 21 variable names in order.
-func VarNames() []string {
-	out := make([]string, NumVars)
-	for i := range out {
-		out[i] = VarName(i)
-	}
-	return out
-}
-
 // Vars is one observation of the 21 macro-model variables.
 type Vars [NumVars]float64
 
@@ -133,14 +124,4 @@ func (m *MacroModel) EstimatePJ(v Vars) float64 {
 		e += c * v[i]
 	}
 	return e
-}
-
-// CoefByName returns the coefficient of the named variable.
-func (m *MacroModel) CoefByName(name string) (float64, error) {
-	for i := 0; i < NumVars; i++ {
-		if VarName(i) == name {
-			return m.Coef[i], nil
-		}
-	}
-	return 0, fmt.Errorf("core: unknown macro-model variable %q", name)
 }

@@ -34,7 +34,7 @@ func TestModelSaveLoadRoundTrip(t *testing.T) {
 		t.Fatalf("R2 lost: %g vs %g", loaded.Fit.R2, cr.Model.Fit.R2)
 	}
 	// A loaded model estimates identically.
-	w, _ := workloads.ApplicationByName("des")
+	w := workloads.DES()
 	a, err := cr.Model.EstimateWorkload(procgen.Default(), w)
 	if err != nil {
 		t.Fatal(err)

@@ -3,6 +3,8 @@ package experiments
 import (
 	"strings"
 	"testing"
+
+	"xtenergy/internal/iss"
 )
 
 // TestSabotageTolerance is the ISSUE's headline acceptance criterion:
@@ -52,7 +54,7 @@ func TestSabotageTolerance(t *testing.T) {
 		if f.Attempts != want.attempts {
 			t.Errorf("%s took %d attempts, want %d", f.Name, f.Attempts, want.attempts)
 		}
-		if _, ok := f.Fault(); !ok {
+		if _, ok := iss.AsFault(f.Err); !ok {
 			t.Errorf("%s failure is not a typed fault: %v", f.Name, f.Err)
 		}
 	}

@@ -166,7 +166,7 @@ func TestMixedConfigSpace(t *testing.T) {
 	loops := procgen.Default()
 	loops.Name = "with-loops"
 	loops.HasLoops = true
-	w, _ := workloads.ApplicationByName("accumulate")
+	w := workloads.Accumulate()
 	cands := []explore.Candidate{
 		{Name: "acc/default", Config: procgen.Default(), Workload: w},
 		{Name: "acc/loops", Config: loops, Workload: w},

@@ -64,15 +64,6 @@ func (c Category) Quadratic() bool {
 	return false
 }
 
-// Categories returns all ten categories in Table I order.
-func Categories() []Category {
-	out := make([]Category, NumCategories)
-	for i := range out {
-		out[i] = Category(i)
-	}
-	return out
-}
-
 // Component is one hardware instance inside a custom-instruction datapath.
 type Component struct {
 	// Name is the instance name, unique within a datapath (e.g. "gfmul0").
@@ -123,33 +114,4 @@ func (c Component) Complexity() float64 {
 	default:
 		return w
 	}
-}
-
-// ParseCategory maps a spec string to a category. Accepted names are the
-// display names plus common aliases ("mul", "adder", "mux", "reg", "mac",
-// "csa", "rom").
-func ParseCategory(s string) (Category, error) {
-	switch s {
-	case "mult", "mul", "multiplier":
-		return Multiplier, nil
-	case "add/sub/cmp", "add", "adder", "sub", "cmp", "comparator":
-		return AddSubCmp, nil
-	case "logic/red/mux", "logic", "mux", "reduction":
-		return LogicRedMux, nil
-	case "shifter", "shift":
-		return Shifter, nil
-	case "custom-reg", "reg", "register", "customreg":
-		return CustomRegister, nil
-	case "tie-mult", "tiemult":
-		return TIEMult, nil
-	case "tie-mac", "tiemac", "mac":
-		return TIEMac, nil
-	case "tie-add", "tieadd":
-		return TIEAdd, nil
-	case "tie-csa", "tiecsa", "csa":
-		return TIECsa, nil
-	case "table", "rom", "lut":
-		return Table, nil
-	}
-	return 0, fmt.Errorf("hwlib: unknown component category %q", s)
 }

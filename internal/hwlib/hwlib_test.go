@@ -107,30 +107,6 @@ func TestValidate(t *testing.T) {
 	}
 }
 
-func TestParseCategory(t *testing.T) {
-	cases := map[string]Category{
-		"mult": Multiplier, "mul": Multiplier,
-		"adder": AddSubCmp, "cmp": AddSubCmp,
-		"mux": LogicRedMux, "logic": LogicRedMux,
-		"shifter": Shifter,
-		"reg":     CustomRegister,
-		"tiemult": TIEMult,
-		"mac":     TIEMac,
-		"tieadd":  TIEAdd,
-		"csa":     TIECsa,
-		"rom":     Table, "table": Table,
-	}
-	for s, want := range cases {
-		got, err := ParseCategory(s)
-		if err != nil || got != want {
-			t.Fatalf("ParseCategory(%q) = %v, %v; want %v", s, got, err, want)
-		}
-	}
-	if _, err := ParseCategory("flux-capacitor"); err == nil {
-		t.Fatal("unknown category parsed")
-	}
-}
-
 // Property: complexity is positive and monotonically non-decreasing in
 // width for every category.
 func TestComplexityMonotoneProperty(t *testing.T) {
@@ -152,4 +128,13 @@ func TestComplexityMonotoneProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// Categories returns all ten categories in Table I order.
+func Categories() []Category {
+	out := make([]Category, NumCategories)
+	for i := range out {
+		out[i] = Category(i)
+	}
+	return out
 }

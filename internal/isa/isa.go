@@ -374,10 +374,6 @@ func BaseOpcodes() []Opcode {
 	return out
 }
 
-// NumBaseOpcodes reports the number of base instructions defined
-// (approximately 80, per the Xtensa base ISA).
-func NumBaseOpcodes() int { return len(BaseOpcodes()) }
-
 // Name returns the mnemonic for op, or "invalid".
 func (op Opcode) Name() string {
 	d, ok := Lookup(op)

@@ -1,7 +1,7 @@
 package iss_test
 
 import (
-	"encoding/binary"
+	"bytes"
 	"testing"
 
 	"xtenergy/internal/isa"
@@ -9,37 +9,30 @@ import (
 	"xtenergy/internal/procgen"
 )
 
-// FuzzSimulatorNeverPanics feeds raw instruction words to the simulator
-// and requires the taxonomy's contract: every run either halts cleanly
-// or returns a typed *iss.Fault — the simulator must never panic and
-// never return an untyped runtime error, no matter the program.
+// FuzzSimulatorNeverPanics feeds raw instruction fields to the
+// simulator and requires the taxonomy's contract: every run either
+// halts cleanly or returns a typed *iss.Fault — the simulator must never
+// panic and never return an untyped runtime error, no matter the program.
 func FuzzSimulatorNeverPanics(f *testing.F) {
 	proc, err := procgen.Generate(procgen.Default(), nil)
 	if err != nil {
 		f.Fatal(err)
 	}
 
-	// Seeds: a tight loop, loads at hostile addresses, a custom opcode
-	// on an extension-less processor, and raw junk.
-	seed := func(words ...uint32) []byte {
-		b := make([]byte, 4*len(words))
-		for i, w := range words {
-			binary.LittleEndian.PutUint32(b[4*i:], w)
-		}
-		return b
-	}
-	f.Add(seed(0))
-	f.Add(seed(0xFFFF_FFFF))
-	f.Add([]byte{1, 2, 3}) // sub-word tail
-	f.Add(seed(0xDEAD_BEEF, 0x0BAD_F00D, 0x1234_5678, 0x8765_4321))
+	// Seeds: all-zero and all-ones fields, a sub-instruction tail, and
+	// raw junk.
+	f.Add(make([]byte, instrBytes))
+	f.Add(bytes.Repeat([]byte{0xFF}, instrBytes))
+	f.Add([]byte{1, 2, 3})
+	f.Add([]byte("\xde\xad\xbe\xef\x0b\xad\xf0\x0d\x12\x34\x56\x78\x87\x65\x43\x21"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const maxWords = 256
 		var code []isa.Instr
-		for i := 0; i+4 <= len(data) && len(code) < maxWords; i += 4 {
-			in, err := isa.Decode(binary.LittleEndian.Uint32(data[i:]))
-			if err != nil {
-				continue // undecodable word: not an executable program
+		for i := 0; i+instrBytes <= len(data) && len(code) < maxWords; i += instrBytes {
+			in := fuzzInstr(data[i : i+instrBytes])
+			if _, ok := isa.Lookup(in.Op); !ok {
+				continue // no such opcode: not an executable program
 			}
 			code = append(code, in)
 		}
@@ -58,4 +51,21 @@ func FuzzSimulatorNeverPanics(f *testing.F) {
 			t.Fatalf("untyped runtime error: %v", err)
 		}
 	})
+}
+
+// instrBytes is the fuzz input consumed per instruction.
+const instrBytes = 8
+
+// fuzzInstr maps b field by field: the opcode byte, then rd, rs, rt
+// and the custom ID (each a register-file index or 6-bit constant),
+// then a signed 24-bit immediate, wide enough for every format's.
+func fuzzInstr(b []byte) isa.Instr {
+	return isa.Instr{
+		Op:       isa.Opcode(b[0]),
+		Rd:       b[1] % isa.NumRegs,
+		Rs:       b[2] % isa.NumRegs,
+		Rt:       b[3] % isa.NumRegs,
+		CustomID: b[4] % isa.NumRegs,
+		Imm:      int32(uint32(b[5])<<8|uint32(b[6])<<16|uint32(b[7])<<24) >> 8,
+	}
 }

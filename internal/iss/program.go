@@ -112,9 +112,3 @@ func (p *Program) Validate() error {
 	}
 	return nil
 }
-
-// IsUncached reports whether instruction index i lies in the uncached
-// region.
-func (p *Program) IsUncached(i int) bool {
-	return p.Uncached != nil && i >= 0 && i < len(p.Uncached) && p.Uncached[i]
-}

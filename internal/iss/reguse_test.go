@@ -6,6 +6,7 @@ import (
 	"xtenergy/internal/asm"
 	"xtenergy/internal/isa"
 	"xtenergy/internal/iss"
+	"xtenergy/internal/plan"
 	"xtenergy/internal/procgen"
 )
 
@@ -20,7 +21,7 @@ func TestRegUseOfMatchesDefs(t *testing.T) {
 			continue
 		}
 		in := isa.Instr{Op: op, Rd: 5, Rs: 6, Rt: 7}
-		u := iss.RegUseOf(nil, in)
+		u := plan.RegUseOf(nil, in)
 		if u.ReadsRs != d.ReadsRs || u.ReadsRt != d.ReadsRt || u.WritesRd != d.WritesRd {
 			t.Errorf("%s: port flags (%v,%v,%v) disagree with defs (%v,%v,%v)",
 				d.Name, u.ReadsRs, u.ReadsRt, u.WritesRd, d.ReadsRs, d.ReadsRt, d.WritesRd)
@@ -61,7 +62,7 @@ func TestRegUseOfArchitecturalExtras(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			u := iss.RegUseOf(nil, tc.in)
+			u := plan.RegUseOf(nil, tc.in)
 			if tc.wantR != 0 && u.Reads&tc.wantR != tc.wantR {
 				t.Errorf("Reads=%#x missing bits %#x", u.Reads, tc.wantR)
 			}
@@ -72,7 +73,7 @@ func TestRegUseOfArchitecturalExtras(t *testing.T) {
 	}
 
 	// L32R is a load whose Rs field is a literal-pool index, not a register.
-	u := iss.RegUseOf(nil, isa.Instr{Op: isa.OpL32R, Rd: 2, Rs: 63})
+	u := plan.RegUseOf(nil, isa.Instr{Op: isa.OpL32R, Rd: 2, Rs: 63})
 	if u.ReadsRs || u.Reads&(1<<63) != 0 {
 		t.Errorf("L32R must not read its Rs literal index: %+v", u)
 	}
@@ -89,16 +90,10 @@ func TestRegUseOfCustomForms(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	addk, ok := proc.TIE.IDByName("addk")
-	if !ok {
-		t.Fatal("addk not compiled")
-	}
-	gadd, ok := proc.TIE.IDByName("gadd")
-	if !ok {
-		t.Fatal("gadd not compiled")
-	}
+	// Custom IDs follow immExt's declaration order.
+	const addk, gadd = 0, 1
 
-	imm := iss.RegUseOf(proc.TIE, isa.Instr{Op: isa.OpCUSTOM, CustomID: addk, Rd: 1, Rs: 2, Rt: 3})
+	imm := plan.RegUseOf(proc.TIE, isa.Instr{Op: isa.OpCUSTOM, CustomID: addk, Rd: 1, Rs: 2, Rt: 3})
 	if !imm.ReadsRs || imm.ReadsRt {
 		t.Errorf("imm form: ReadsRs=%v ReadsRt=%v, want true,false", imm.ReadsRs, imm.ReadsRt)
 	}
@@ -106,13 +101,13 @@ func TestRegUseOfCustomForms(t *testing.T) {
 		t.Errorf("imm form: Reads=%#x Writes=%#x WritesRd=%v", imm.Reads, imm.Writes, imm.WritesRd)
 	}
 
-	reg := iss.RegUseOf(proc.TIE, isa.Instr{Op: isa.OpCUSTOM, CustomID: gadd, Rd: 1, Rs: 2, Rt: 3})
+	reg := plan.RegUseOf(proc.TIE, isa.Instr{Op: isa.OpCUSTOM, CustomID: gadd, Rd: 1, Rs: 2, Rt: 3})
 	if !reg.ReadsRs || !reg.ReadsRt || reg.Reads != 1<<2|1<<3 {
 		t.Errorf("reg form: ReadsRs=%v ReadsRt=%v Reads=%#x", reg.ReadsRs, reg.ReadsRt, reg.Reads)
 	}
 
 	// A nil compilation reports no ports for custom instructions.
-	none := iss.RegUseOf(nil, isa.Instr{Op: isa.OpCUSTOM, CustomID: addk, Rs: 2})
+	none := plan.RegUseOf(nil, isa.Instr{Op: isa.OpCUSTOM, CustomID: addk, Rs: 2})
 	if none.Reads != 0 || none.Writes != 0 {
 		t.Errorf("nil compiled: Reads=%#x Writes=%#x, want 0,0", none.Reads, none.Writes)
 	}

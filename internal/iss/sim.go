@@ -297,6 +297,8 @@ func (s *Simulator) site(err error, pc int) error {
 // the most recent Run with Options.RecordUninitReads — including runs
 // that ended in an error, for which Run returns no Result (the recorded
 // prefix up to the fault is still meaningful to differential tests).
+//
+//xtenergy:oracle FuzzUninitDifferential
 func (s *Simulator) UninitReads() []UninitRead { return s.uninit }
 
 func (s *Simulator) reset(prog *Program) {
@@ -593,7 +595,9 @@ func (s *Simulator) checkMem(addr uint32, size int) error {
 }
 
 // ReadMem copies out sz bytes of simulated memory starting at addr (for
-// tests and tools inspecting program results).
+// tests inspecting program results).
+//
+//xtenergy:oracle TestAllRSConfigurationsAgree TestDrawlineRasterizesCorrectly
 func (s *Simulator) ReadMem(addr uint32, sz int) ([]byte, error) {
 	if err := s.checkMem(addr, 1); err != nil {
 		return nil, err
@@ -612,6 +616,8 @@ func (s *Simulator) ReadMem(addr uint32, sz int) ([]byte, error) {
 }
 
 // ReadWord returns the 32-bit little-endian word at addr.
+//
+//xtenergy:oracle TestCRC32Correct TestGcdComputesCorrectly
 func (s *Simulator) ReadWord(addr uint32) (uint32, error) {
 	return s.load(addr, 4)
 }

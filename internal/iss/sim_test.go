@@ -359,7 +359,10 @@ func TestClassCycleAccounting(t *testing.T) {
 	if st.ClassCycles[iss.CJump] != 1 {
 		t.Fatalf("jump cycles = %d, want 1", st.ClassCycles[iss.CJump])
 	}
-	total := st.BaseCycles() + st.CustomCycles + st.StallCycles
+	total := st.CustomCycles + st.StallCycles
+	for _, c := range st.ClassCycles {
+		total += c
+	}
 	if total != st.Cycles {
 		t.Fatalf("cycle accounting: %d classified vs %d total", total, st.Cycles)
 	}

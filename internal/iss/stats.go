@@ -83,15 +83,6 @@ type Stats struct {
 	OpcodeExec [isa.NumOpcodes]uint64
 }
 
-// BaseCycles returns the sum of the six class cycle counters.
-func (s *Stats) BaseCycles() uint64 {
-	var t uint64
-	for _, c := range s.ClassCycles {
-		t += c
-	}
-	return t
-}
-
 // CustomExecCount returns the execution count of custom instruction id,
 // tolerating ids beyond the recorded range.
 func (s *Stats) CustomExecCount(id int) uint64 {

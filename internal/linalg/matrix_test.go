@@ -142,33 +142,6 @@ func TestMulVec(t *testing.T) {
 	}
 }
 
-func TestAddSubScale(t *testing.T) {
-	a, _ := FromRows([][]float64{{1, 2}, {3, 4}})
-	b, _ := FromRows([][]float64{{4, 3}, {2, 1}})
-	sum, err := a.Add(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	diff, err := sum.Sub(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 2; i++ {
-		for j := 0; j < 2; j++ {
-			if diff.At(i, j) != a.At(i, j) {
-				t.Fatal("a+b-b != a")
-			}
-			if sum.At(i, j) != 5 {
-				t.Fatalf("sum(%d,%d) = %g, want 5", i, j, sum.At(i, j))
-			}
-		}
-	}
-	sc := a.Scale(2)
-	if sc.At(1, 1) != 8 {
-		t.Fatalf("scale = %g", sc.At(1, 1))
-	}
-}
-
 func TestCloneIndependence(t *testing.T) {
 	a, _ := FromRows([][]float64{{1, 2}})
 	c := a.Clone()
@@ -176,34 +149,6 @@ func TestCloneIndependence(t *testing.T) {
 	if a.At(0, 0) != 1 {
 		t.Fatal("Clone shares storage with original")
 	}
-}
-
-func TestRowColCopies(t *testing.T) {
-	a, _ := FromRows([][]float64{{1, 2}, {3, 4}})
-	r := a.Row(1)
-	r[0] = 99
-	if a.At(1, 0) != 3 {
-		t.Fatal("Row returned a view, want a copy")
-	}
-	c := a.Col(0)
-	c[1] = 99
-	if a.At(1, 0) != 3 {
-		t.Fatal("Col returned a view, want a copy")
-	}
-}
-
-func TestColVector(t *testing.T) {
-	v := NewVector([]float64{1, 2, 3})
-	got := v.ColVector()
-	if len(got) != 3 || got[2] != 3 {
-		t.Fatalf("ColVector = %v", got)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("ColVector on wide matrix did not panic")
-		}
-	}()
-	NewMatrix(2, 2).ColVector()
 }
 
 func TestNorm2(t *testing.T) {
@@ -223,16 +168,6 @@ func TestNorm2(t *testing.T) {
 func TestDot(t *testing.T) {
 	if Dot([]float64{1, 2, 3}, []float64{4, 5, 6}) != 32 {
 		t.Fatal("Dot wrong")
-	}
-}
-
-func TestFrobeniusAndMaxAbs(t *testing.T) {
-	a, _ := FromRows([][]float64{{3, 0}, {0, -4}})
-	if !almostEqual(a.FrobeniusNorm(), 5, 1e-14) {
-		t.Fatalf("frobenius = %g", a.FrobeniusNorm())
-	}
-	if a.MaxAbs() != 4 {
-		t.Fatalf("maxabs = %g", a.MaxAbs())
 	}
 }
 

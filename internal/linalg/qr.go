@@ -114,19 +114,6 @@ func (f *QR) Solve(b []float64) ([]float64, error) {
 	return x, nil
 }
 
-// Rank estimates the numerical rank of A from the diagonal of R.
-func (f *QR) Rank() int {
-	n := f.qr.Cols()
-	tol := rankTol(f.qr)
-	rank := 0
-	for i := 0; i < n; i++ {
-		if math.Abs(f.qr.At(i, i)) >= tol {
-			rank++
-		}
-	}
-	return rank
-}
-
 // ConditionEstimate returns |r_max|/|r_min| over the diagonal of R, a cheap
 // lower bound on the 2-norm condition number of A. It returns +Inf for a
 // numerically rank-deficient factorization.
@@ -171,34 +158,6 @@ func LeastSquares(a *Matrix, b []float64) ([]float64, error) {
 		return nil, err
 	}
 	return f.Solve(b)
-}
-
-// PseudoInverse returns the Moore-Penrose pseudo-inverse A⁺ of a full
-// column rank matrix A with rows >= cols, computed column-by-column from
-// the QR factorization (A⁺ = R⁻¹ Qᵀ). This is the "pseudo-inverse method"
-// the paper uses to fit the energy macro-model.
-func PseudoInverse(a *Matrix) (*Matrix, error) {
-	f, err := FactorQR(a)
-	if err != nil {
-		return nil, err
-	}
-	m, n := a.Rows(), a.Cols()
-	pinv := NewMatrix(n, m)
-	e := make([]float64, m)
-	for j := 0; j < m; j++ {
-		for i := range e {
-			e[i] = 0
-		}
-		e[j] = 1
-		x, err := f.Solve(e)
-		if err != nil {
-			return nil, err
-		}
-		for i := 0; i < n; i++ {
-			pinv.Set(i, j, x[i])
-		}
-	}
-	return pinv, nil
 }
 
 // SolveRidge returns the Tikhonov-regularized solution

@@ -93,9 +93,6 @@ func TestRankDeficientDetected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.Rank() != 1 {
-		t.Fatalf("rank = %d, want 1", f.Rank())
-	}
 	if c := f.ConditionEstimate(); c < 1e12 {
 		t.Fatalf("condition estimate = %g, want huge (rank deficient)", c)
 	}
@@ -109,50 +106,6 @@ func TestSolveRhsLength(t *testing.T) {
 	}
 	if _, err := f.Solve([]float64{1, 2}); err == nil {
 		t.Fatal("short rhs accepted")
-	}
-}
-
-func TestPseudoInverseIdentityProperty(t *testing.T) {
-	// For full column rank A, A⁺·A = I.
-	r := seededRand(7)
-	a := randomMatrix(r, 6, 3)
-	pinv, err := PseudoInverse(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prod, err := pinv.Mul(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	diff, _ := prod.Sub(Identity(3))
-	if diff.MaxAbs() > 1e-9 {
-		t.Fatalf("A+A deviates from I by %g", diff.MaxAbs())
-	}
-}
-
-func TestPseudoInverseSolvesLeastSquares(t *testing.T) {
-	r := seededRand(12)
-	a := randomMatrix(r, 8, 4)
-	b := make([]float64, 8)
-	for i := range b {
-		b[i] = r.float()
-	}
-	x1, err := LeastSquares(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pinv, err := PseudoInverse(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x2, err := pinv.MulVec(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range x1 {
-		if !almostEqual(x1[i], x2[i], 1e-9) {
-			t.Fatalf("pseudo-inverse solution differs: %v vs %v", x1, x2)
-		}
 	}
 }
 
@@ -206,7 +159,7 @@ func TestLeastSquaresRecoveryProperty(t *testing.T) {
 		a := randomMatrix(r, 10, 4)
 		// Guard against accidental near-rank-deficiency.
 		qr, err := FactorQR(a)
-		if err != nil || qr.Rank() < 4 || qr.ConditionEstimate() > 1e6 {
+		if err != nil || qr.ConditionEstimate() > 1e6 {
 			return true // skip pathological draws
 		}
 		want := []float64{r.float(), r.float(), r.float(), r.float()}
@@ -233,7 +186,7 @@ func TestLeastSquaresOptimalityProperty(t *testing.T) {
 		r := seededRand(seed)
 		a := randomMatrix(r, 9, 3)
 		qr, err := FactorQR(a)
-		if err != nil || qr.Rank() < 3 {
+		if err != nil || qr.ConditionEstimate() > 1e12 {
 			return true
 		}
 		b := make([]float64, 9)
@@ -302,33 +255,5 @@ func TestGramInverseDiagRankDeficient(t *testing.T) {
 	}
 	if _, err := f.GramInverseDiag(); err == nil {
 		t.Fatal("rank-deficient gram inverse accepted")
-	}
-}
-
-// Property: the pseudo-inverse satisfies the Moore-Penrose conditions
-// A·A⁺·A = A and A⁺·A·A⁺ = A⁺ for random full-rank tall matrices.
-func TestMoorePenroseProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		r := seededRand(seed)
-		a := randomMatrix(r, 7, 3)
-		qr, err := FactorQR(a)
-		if err != nil || qr.Rank() < 3 || qr.ConditionEstimate() > 1e6 {
-			return true
-		}
-		pinv, err := PseudoInverse(a)
-		if err != nil {
-			return false
-		}
-		apa, _ := a.Mul(pinv)
-		apa, _ = apa.Mul(a)
-		d1, _ := apa.Sub(a)
-		pap, _ := pinv.Mul(a)
-		pap, _ = pap.Mul(pinv)
-		d2, _ := pap.Sub(pinv)
-		scale := 1 + a.MaxAbs() + pinv.MaxAbs()
-		return d1.MaxAbs() < 1e-8*scale && d2.MaxAbs() < 1e-8*scale
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
 	}
 }

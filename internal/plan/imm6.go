@@ -1,10 +1,5 @@
 package plan
 
-import (
-	"xtenergy/internal/isa"
-	"xtenergy/internal/tie"
-)
-
 // The 6-bit signed constant encoding shared by register-immediate
 // branch compares and immediate-form TIE instructions: both reuse the
 // 6-bit Rt register field to carry a small constant, decoded by the
@@ -36,22 +31,4 @@ func EncodeImm6(v int64) (uint8, bool) {
 		return 0, false
 	}
 	return uint8(v) & (1<<Imm6Bits - 1), true
-}
-
-// ImmFormRt reports whether in's Rt field carries an immediate-form
-// constant rather than a register number — true for immediate-form TIE
-// instructions and for register-immediate branch compares. Such a field
-// is never a register read: it must not arm the interlock comparator
-// (the PR-1 phantom-interlock fix) and must not contribute to dataflow
-// read sets.
-func ImmFormRt(comp *tie.Compiled, in isa.Instr) bool {
-	if in.IsCustom() {
-		if comp == nil {
-			return false
-		}
-		ci, err := comp.Instruction(in.CustomID)
-		return err == nil && ci.ImmOperand
-	}
-	d, ok := isa.Lookup(in.Op)
-	return ok && d.Format == isa.FormatBranchRI
 }

@@ -61,26 +61,20 @@ func TestImmFormRtNoPhantomRead(t *testing.T) {
 	if rec.SImm != 3 {
 		t.Fatalf("SImm = %d, want 3", rec.SImm)
 	}
-	if !plan.ImmFormRt(comp, imm) {
-		t.Fatal("ImmFormRt(imm-form custom) = false, want true")
-	}
 
 	reg := isa.Instr{Op: isa.OpCUSTOM, CustomID: 1, Rd: 1, Rs: 2, Rt: 3}
 	rrec := plan.Describe(comp, reg)
 	if !rrec.Use.ReadsRt || rrec.Use.Reads&(1<<3) == 0 {
 		t.Fatalf("register-form Rt read lost: %+v", rrec.Use)
 	}
-	if plan.ImmFormRt(comp, reg) {
-		t.Fatal("ImmFormRt(register-form custom) = true, want false")
-	}
 
 	// Branch-RI compares carry a constant in Rt through the same
-	// encoding; register-register branches do not.
-	if !plan.ImmFormRt(nil, isa.Instr{Op: isa.OpBEQI, Rs: 2, Rt: 3}) {
-		t.Fatal("ImmFormRt(beqi) = false, want true")
+	// encoding; register-register branches read it.
+	if plan.Describe(comp, isa.Instr{Op: isa.OpBEQI, Rs: 2, Rt: 3}).Use.ReadsRt {
+		t.Fatal("beqi's constant presented as a register read")
 	}
-	if plan.ImmFormRt(nil, isa.Instr{Op: isa.OpBEQ, Rs: 2, Rt: 3}) {
-		t.Fatal("ImmFormRt(beq) = true, want false")
+	if !plan.Describe(comp, isa.Instr{Op: isa.OpBEQ, Rs: 2, Rt: 3}).Use.ReadsRt {
+		t.Fatal("beq's Rt read lost")
 	}
 }
 

@@ -178,27 +178,6 @@ func Generate(cfg Config, ext *tie.Extension) (*Processor, error) {
 	return p, nil
 }
 
-// CyclesToSeconds converts a cycle count to seconds at the configured
-// clock.
-func (p *Processor) CyclesToSeconds(cycles uint64) float64 {
-	return float64(cycles) / (p.Config.ClockMHz * 1e6)
-}
-
-// NumCustomBlocks returns the number of custom hardware blocks.
-func (p *Processor) NumCustomBlocks() int {
-	return len(p.Blocks) - p.CustomBlockBase
-}
-
-// BlockByName finds a block by name.
-func (p *Processor) BlockByName(name string) (Block, bool) {
-	for _, b := range p.Blocks {
-		if b.Name == name {
-			return b, true
-		}
-	}
-	return Block{}, false
-}
-
 // WriteNetlist renders the generated processor's structural netlist in a
 // compact, Verilog-flavoured text form — the inspectable artifact of the
 // "processor generator" step (the paper's flow emits actual RTL here).

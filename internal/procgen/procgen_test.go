@@ -128,17 +128,6 @@ func TestGenerateRejectsBadExtension(t *testing.T) {
 	}
 }
 
-func TestCyclesToSeconds(t *testing.T) {
-	p, err := Generate(Default(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := p.CyclesToSeconds(187_000_000)
-	if s < 0.999 || s > 1.001 {
-		t.Fatalf("187M cycles at 187 MHz = %g s, want 1", s)
-	}
-}
-
 func TestBlockKindString(t *testing.T) {
 	if BlockALU.String() != "alu" || BlockCustom.String() != "custom" {
 		t.Fatal("block kind names wrong")
@@ -210,4 +199,19 @@ func TestWriteNetlist(t *testing.T) {
 	if strings.Contains(buf.String(), "custom instructions") {
 		t.Fatal("base-only netlist mentions custom instructions")
 	}
+}
+
+// NumCustomBlocks returns the number of custom hardware blocks.
+func (p *Processor) NumCustomBlocks() int {
+	return len(p.Blocks) - p.CustomBlockBase
+}
+
+// BlockByName finds a block by name.
+func (p *Processor) BlockByName(name string) (Block, bool) {
+	for _, b := range p.Blocks {
+		if b.Name == name {
+			return b, true
+		}
+	}
+	return Block{}, false
 }

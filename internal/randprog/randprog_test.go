@@ -58,7 +58,11 @@ func TestCycleAccountingInvariant(t *testing.T) {
 		prog := randprog.Generate(seed, randprog.Options{AllowLoops: true, Blocks: 60})
 		res, trace := runProg(t, prog, true)
 		st := res.Stats
-		if got := st.BaseCycles() + st.CustomCycles + st.StallCycles; got != st.Cycles {
+		got := st.CustomCycles + st.StallCycles
+		for _, c := range st.ClassCycles {
+			got += c
+		}
+		if got != st.Cycles {
 			t.Fatalf("seed %d: %d classified vs %d total cycles", seed, got, st.Cycles)
 		}
 		var opTotal uint64
@@ -167,26 +171,6 @@ func TestDisassembleReassembleRoundTrip(t *testing.T) {
 		r2, _ := runProg(t, prog2, false)
 		if r1.Regs != r2.Regs || r1.Stats.Cycles != r2.Stats.Cycles {
 			t.Fatalf("seed %d: behaviour differs after round trip", seed)
-		}
-	}
-}
-
-// Machine-code round trip: Encode/Decode over whole generated programs.
-func TestEncodeDecodeWholeProgram(t *testing.T) {
-	for seed := int64(0); seed < 15; seed++ {
-		prog := randprog.Generate(seed, randprog.Options{AllowLoops: true})
-		for i, in := range prog.Code {
-			w, err := in.Encode()
-			if err != nil {
-				t.Fatalf("seed %d instr %d (%v): %v", seed, i, in, err)
-			}
-			back, err := isa.Decode(w)
-			if err != nil {
-				t.Fatalf("seed %d instr %d: %v", seed, i, err)
-			}
-			if back != in {
-				t.Fatalf("seed %d instr %d: %v -> %v", seed, i, in, back)
-			}
 		}
 	}
 }

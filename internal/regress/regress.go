@@ -180,11 +180,3 @@ func solve(x *linalg.Matrix, y []float64, opts Options) ([]float64, error) {
 	}
 	return nil, errors.New("regress: nonnegative fit did not converge")
 }
-
-// Predict evaluates the fitted model on a variable vector.
-func (f *Fit) Predict(vars []float64) (float64, error) {
-	if len(vars) != len(f.Coef) {
-		return 0, fmt.Errorf("regress: %d variables for %d coefficients", len(vars), len(f.Coef))
-	}
-	return linalg.Dot(f.Coef, vars), nil
-}

@@ -25,22 +25,6 @@ import (
 // hwlib category order.
 type Vars [hwlib.NumCategories]float64
 
-// Add accumulates o into v.
-func (v *Vars) Add(o Vars) {
-	for i := range v {
-		v[i] += o[i]
-	}
-}
-
-// Total returns the sum of all category variables.
-func (v Vars) Total() float64 {
-	var t float64
-	for _, x := range v {
-		t += x
-	}
-	return t
-}
-
 // FromStats computes the structural variables from compact execution
 // statistics. This is the fast path used during application energy
 // estimation: no trace is needed, only per-custom-instruction execution
@@ -73,42 +57,6 @@ func FromStats(comp *tie.Compiled, st *iss.Stats) (Vars, error) {
 		arith := arithInstrCount(st)
 		for k := range bw {
 			out[k] += bw[k] * float64(arith)
-		}
-	}
-	return out, nil
-}
-
-// FromTrace computes the structural variables by walking the dynamic
-// execution trace instruction by instruction. It must agree exactly with
-// FromStats; it exists because the paper's flow describes resource
-// analysis as a pass over the trace, and because it validates the
-// compact path in tests.
-func FromTrace(comp *tie.Compiled, trace []iss.TraceEntry) (Vars, error) {
-	var out Vars
-	if comp == nil {
-		return out, fmt.Errorf("resource: nil compiled extension")
-	}
-	bw := comp.BusTapWeights()
-	for i := range trace {
-		in := trace[i].Instr
-		if in.IsCustom() {
-			ci, err := comp.Instruction(in.CustomID)
-			if err != nil {
-				return out, err
-			}
-			w, err := comp.CategoryActiveWeights(in.CustomID)
-			if err != nil {
-				return out, err
-			}
-			for k := range w {
-				out[k] += w[k] * float64(ci.Latency)
-			}
-			continue
-		}
-		if isa.ClassOf(in.Op) == isa.ClassArith && len(comp.BusTapped) > 0 {
-			for k := range bw {
-				out[k] += bw[k]
-			}
 		}
 	}
 	return out, nil

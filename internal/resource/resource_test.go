@@ -126,7 +126,7 @@ func TestFromStatsBaseOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if vars.Total() != 0 {
+	if vars != (resource.Vars{}) {
 		t.Fatalf("base-only program has structural activity: %v", vars)
 	}
 }
@@ -138,18 +138,6 @@ func TestNilCompiledRejected(t *testing.T) {
 	}
 	if _, err := resource.FromTrace(nil, nil); err == nil {
 		t.Fatal("nil compiled accepted")
-	}
-}
-
-func TestVarsHelpers(t *testing.T) {
-	var v resource.Vars
-	v[0] = 1
-	v[3] = 2
-	var w resource.Vars
-	w[0] = 10
-	v.Add(w)
-	if v[0] != 11 || v.Total() != 13 {
-		t.Fatalf("Add/Total wrong: %v", v)
 	}
 }
 

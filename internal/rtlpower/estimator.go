@@ -21,19 +21,6 @@ type Report struct {
 	Cycles uint64
 }
 
-// TotalUJ returns the total energy in microjoules (the unit of the
-// paper's Table II).
-func (r Report) TotalUJ() float64 { return r.TotalPJ * 1e-6 }
-
-// AveragePowerMW returns the mean power in milliwatts at the given clock.
-func (r Report) AveragePowerMW(clockMHz float64) float64 {
-	if r.Cycles == 0 {
-		return 0
-	}
-	// pJ/cycle * cycles/s = pW; convert to mW.
-	return r.TotalPJ / float64(r.Cycles) * clockMHz * 1e6 * 1e-9
-}
-
 // blockModel is the precomputed simulation state of one structural block.
 type blockModel struct {
 	nets int

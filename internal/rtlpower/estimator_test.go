@@ -279,22 +279,6 @@ func TestBusTapEnergyFromBaseArith(t *testing.T) {
 	}
 }
 
-func TestReportHelpers(t *testing.T) {
-	r := rtlpower.Report{TotalPJ: 2e6, Cycles: 1000}
-	if r.TotalUJ() != 2 {
-		t.Fatalf("TotalUJ = %g", r.TotalUJ())
-	}
-	mw := r.AveragePowerMW(187)
-	// 2000 pJ/cycle * 187e6 cycles/s = 374 mW.
-	if math.Abs(mw-374) > 1 {
-		t.Fatalf("power = %g mW, want ~374", mw)
-	}
-	var empty rtlpower.Report
-	if empty.AveragePowerMW(187) != 0 {
-		t.Fatal("power of empty report")
-	}
-}
-
 func TestEstimateProgram(t *testing.T) {
 	proc, err := procgen.Generate(procgen.Default(), nil)
 	if err != nil {

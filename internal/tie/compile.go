@@ -132,13 +132,6 @@ func (c *Compiled) Instruction(id uint8) (*Instruction, error) {
 	return c.Ext.Instructions[id], nil
 }
 
-// IDByName returns the opcode id assigned to the named custom
-// instruction.
-func (c *Compiled) IDByName(name string) (uint8, bool) {
-	id, ok := c.byName[name]
-	return id, ok
-}
-
 // CategoryActiveWeights returns, for instruction id, the summed
 // complexity f(C) per hardware category of the components active during
 // one of its cycles. This is the per-cycle contribution of the

@@ -197,121 +197,9 @@ func TestCompileValidates(t *testing.T) {
 	}
 }
 
-func TestMergeExtensions(t *testing.T) {
-	a := &Extension{
-		Name:          "alpha",
-		NumCustomRegs: 2,
-		Tables:        map[string][]uint32{"t": {1, 2, 3}},
-		Instructions: []*Instruction{{
-			Name: "inca", Latency: 1, ReadsGeneral: true, WritesGeneral: true,
-			Datapath: []DatapathElem{{
-				Component: hwlib.Component{Name: "u", Cat: hwlib.AddSubCmp, Width: 32},
-			}},
-			Semantics: func(s *State, op Operands) uint32 {
-				s.Regs[0]++ // extension-local register 0
-				return s.Regs[0]
-			},
-		}},
-	}
-	b := &Extension{
-		Name:          "beta",
-		NumCustomRegs: 1,
-		Instructions: []*Instruction{{
-			Name: "incb", Latency: 1, ReadsGeneral: true, WritesGeneral: true,
-			Datapath: []DatapathElem{{
-				Component: hwlib.Component{Name: "u", Cat: hwlib.Shifter, Width: 16},
-			}},
-			Semantics: func(s *State, op Operands) uint32 {
-				s.Regs[0] += 10 // beta's register 0, rebased in the merge
-				return s.Regs[0]
-			},
-		}},
-	}
-	m, err := Merge("combo", a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.NumCustomRegs != 3 {
-		t.Fatalf("merged regs = %d, want 3", m.NumCustomRegs)
-	}
-	// Component names are namespaced, so same-named components coexist.
-	comp, err := Compile(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	foundA, foundB := false, false
-	for _, c := range comp.Components {
-		switch c.Name {
-		case "alpha.u":
-			foundA = true
-		case "beta.u":
-			foundB = true
-		}
-	}
-	if !foundA || !foundB {
-		t.Fatal("namespaced components missing")
-	}
-	// Rebased state: inca writes merged reg 0, incb writes merged reg 2.
-	st := NewState(3)
-	ia, _ := comp.IDByName("inca")
-	ib, _ := comp.IDByName("incb")
-	insA, _ := comp.Instruction(ia)
-	insB, _ := comp.Instruction(ib)
-	insA.Semantics(st, Operands{})
-	insB.Semantics(st, Operands{})
-	if st.Regs[0] != 1 || st.Regs[1] != 0 || st.Regs[2] != 10 {
-		t.Fatalf("rebased state wrong: %v", st.Regs)
-	}
-	// Tables are namespaced.
-	if m.TableValue("alpha.t", 1) != 2 {
-		t.Fatal("merged table missing")
-	}
-}
-
-func TestMergeConflicts(t *testing.T) {
-	mk := func(extName, insName string) *Extension {
-		return &Extension{
-			Name: extName,
-			Instructions: []*Instruction{{
-				Name: insName, Latency: 1, ReadsGeneral: true, WritesGeneral: true,
-				Datapath: []DatapathElem{{
-					Component: hwlib.Component{Name: "u", Cat: hwlib.AddSubCmp, Width: 32},
-				}},
-				Semantics: noop,
-			}},
-		}
-	}
-	if _, err := Merge("m", mk("a", "dup"), mk("b", "dup")); err == nil {
-		t.Fatal("duplicate mnemonic merge accepted")
-	}
-	if _, err := Merge("", mk("a", "x")); err == nil {
-		t.Fatal("unnamed merge accepted")
-	}
-	if _, err := Merge("m"); err == nil {
-		t.Fatal("empty merge accepted")
-	}
-	if _, err := Merge("m", nil); err == nil {
-		t.Fatal("nil merge accepted")
-	}
-}
-
-// A merged extension must run end-to-end on the simulator.
-func TestMergedExtensionSimulates(t *testing.T) {
-	m, err := Merge("combo2", testExt(), &Extension{
-		Name:          "extra",
-		NumCustomRegs: 1,
-		Instructions: []*Instruction{{
-			Name: "spin2", Latency: 2,
-			Datapath: []DatapathElem{{
-				Component: hwlib.Component{Name: "r", Cat: hwlib.CustomRegister, Width: 32},
-			}},
-			Semantics: func(s *State, _ Operands) uint32 { s.Regs[0]++; return 0 },
-		}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Compile(m); err != nil {
-		t.Fatal(err)
-	}
+// IDByName returns the opcode id assigned to the named custom
+// instruction.
+func (c *Compiled) IDByName(name string) (uint8, bool) {
+	id, ok := c.byName[name]
+	return id, ok
 }

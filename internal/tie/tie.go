@@ -186,67 +186,3 @@ func (e *Extension) Validate() error {
 	}
 	return nil
 }
-
-// Merge combines several extensions into one processor extension, the
-// way multiple TIE files combine into one configuration. Custom-register
-// indices are rebased transparently: each source extension's semantics
-// see only their own slice of the merged state. Component and table
-// names are prefixed with the source extension's name to keep them
-// distinct; instruction mnemonics must already be unique across the
-// sources.
-func Merge(name string, exts ...*Extension) (*Extension, error) {
-	if name == "" {
-		return nil, fmt.Errorf("tie: merged extension needs a name")
-	}
-	if len(exts) == 0 {
-		return nil, fmt.Errorf("tie: nothing to merge")
-	}
-	out := &Extension{Name: name, Tables: map[string][]uint32{}}
-	seen := map[string]string{}
-	offset := 0
-	for _, e := range exts {
-		if e == nil {
-			return nil, fmt.Errorf("tie: cannot merge a nil extension")
-		}
-		if err := e.Validate(); err != nil {
-			return nil, err
-		}
-		for tname, tv := range e.Tables {
-			out.Tables[e.Name+"."+tname] = tv
-		}
-		base, n := offset, e.NumCustomRegs
-		for _, in := range e.Instructions {
-			if prev, dup := seen[in.Name]; dup {
-				return nil, fmt.Errorf("tie: instruction %q defined by both %s and %s", in.Name, prev, e.Name)
-			}
-			seen[in.Name] = e.Name
-			dp := make([]DatapathElem, len(in.Datapath))
-			for i, el := range in.Datapath {
-				el.Component.Name = e.Name + "." + el.Component.Name
-				dp[i] = el
-			}
-			sem := in.Semantics
-			merged := &Instruction{
-				Name:          in.Name,
-				Latency:       in.Latency,
-				ReadsGeneral:  in.ReadsGeneral,
-				WritesGeneral: in.WritesGeneral,
-				ImmOperand:    in.ImmOperand,
-				Datapath:      dp,
-				Semantics: func(s *State, op Operands) uint32 {
-					// The source semantics address registers 0..n-1 of
-					// their own extension; hand them the rebased window.
-					view := &State{Regs: s.Regs[base : base+n]}
-					return sem(view, op)
-				},
-			}
-			if n == 0 {
-				merged.Semantics = sem
-			}
-			out.Instructions = append(out.Instructions, merged)
-		}
-		offset += n
-	}
-	out.NumCustomRegs = offset
-	return out, out.Validate()
-}

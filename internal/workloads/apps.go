@@ -18,16 +18,6 @@ func Applications() []core.Workload {
 	}
 }
 
-// ApplicationByName returns the named Table II application.
-func ApplicationByName(name string) (core.Workload, bool) {
-	for _, w := range Applications() {
-		if w.Name == name {
-			return w, true
-		}
-	}
-	return core.Workload{}, false
-}
-
 // Sizes and layout shared with the verification tests.
 const (
 	insSortN     = 96

@@ -295,15 +295,6 @@ func TestApplicationsListMatchesTable2(t *testing.T) {
 	}
 }
 
-func TestApplicationByName(t *testing.T) {
-	if _, ok := ApplicationByName("des"); !ok {
-		t.Fatal("des not found")
-	}
-	if _, ok := ApplicationByName("nope"); ok {
-		t.Fatal("bogus app found")
-	}
-}
-
 func TestEveryApplicationUsesCustomInstructions(t *testing.T) {
 	for _, w := range Applications() {
 		w := w

@@ -214,3 +214,45 @@ func TestAllRSConfigurationsCorrectTheError(t *testing.T) {
 		})
 	}
 }
+
+// rsEncodeRef mirrors the encoder in Go: it returns the 8 parity bytes
+// after one pass over the message.
+func rsEncodeRef(msg []uint32, gen []uint32) []uint32 {
+	par := make([]uint32, rsDeg)
+	for _, d := range msg {
+		fb := (d ^ par[rsDeg-1]) & 0xFF
+		for j := rsDeg - 1; j > 0; j-- {
+			par[j] = par[j-1] ^ gfMulByte(fb, gen[j])
+		}
+		par[0] = gfMulByte(fb, gen[0])
+	}
+	return par
+}
+
+// rsCodewordRef returns the (corrupted) codeword the decoder kernels
+// operate on: message bytes followed by the parity in descending degree
+// order, with one byte flipped.
+func rsCodewordRef(msg, par []uint32) []uint32 {
+	cw := make([]uint32, 0, len(msg)+len(par))
+	cw = append(cw, msg...)
+	for j := len(par) - 1; j >= 0; j-- {
+		cw = append(cw, par[j])
+	}
+	cw[rsCorruptPos] ^= rsCorruptMask
+	return cw
+}
+
+// rsSyndromesRef computes the eight syndromes S_i = r(alpha^i) of a
+// codeword by Horner evaluation (alpha = 2).
+func rsSyndromesRef(cw []uint32) []uint32 {
+	out := make([]uint32, rsDeg)
+	for i := 0; i < rsDeg; i++ {
+		alpha := uint32(1) << uint(i) // 2^i, i < 8: no reduction needed
+		var s uint32
+		for _, c := range cw {
+			s = gfMulByte(s, alpha) ^ (c & 0xFF)
+		}
+		out[i] = s
+	}
+	return out
+}

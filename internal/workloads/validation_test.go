@@ -132,3 +132,65 @@ func TestDCT8Correct(t *testing.T) {
 		}
 	}
 }
+
+// crcRef mirrors the CRC kernel.
+func crcRef(msg []uint32) uint32 {
+	t := crcTable()
+	crc := ^uint32(0)
+	for _, b := range msg {
+		crc = (crc >> 8) ^ t[(crc^b)&0xFF]
+	}
+	return ^crc
+}
+
+// iirRef mirrors the biquad kernel: y[n] = (b0*x[n] + b1*x[n-1] -
+// a1*y[n-1]) >> 8, in 32-bit wraparound arithmetic.
+func iirRef(x []uint32) []uint32 {
+	const b0, b1, a1 = 96, 64, 32
+	out := make([]uint32, len(x))
+	var x1, y1 uint32
+	for i, xn := range x {
+		y := (b0*xn + b1*x1 - a1*y1)
+		y = uint32(int32(y) >> 8)
+		out[i] = y
+		x1, y1 = xn, y
+	}
+	return out
+}
+
+// strSearchRef counts occurrences of the needle.
+func strSearchRef() uint32 {
+	hay, needle := strHaystack(), strNeedle()
+	var count uint32
+	for i := 0; i+len(needle) <= len(hay); i++ {
+		ok := true
+		for j := range needle {
+			if hay[i+j] != needle[j] {
+				ok = false
+				break
+			}
+		}
+		if ok {
+			count++
+		}
+	}
+	return count
+}
+
+// dctRef mirrors the kernel: per block, y[k] = (sum_n x[n]*c[k][n]) >> 8
+// in the same 16-bit-operand arithmetic as mac16.
+func dctRef() []uint32 {
+	x := dctSamples()
+	c := dctCoefs()
+	out := make([]uint32, dctBlocks*8)
+	for b := 0; b < dctBlocks; b++ {
+		for k := 0; k < 8; k++ {
+			var acc int64
+			for n := 0; n < 8; n++ {
+				acc += int64(int16(x[b*8+n])) * int64(int16(c[k*8+n]))
+			}
+			out[b*8+k] = uint32(int32(acc) >> 8)
+		}
+	}
+	return out
+}

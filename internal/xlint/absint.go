@@ -49,9 +49,6 @@ func itvConst(v uint32) Itv  { return Itv{int64(v), int64(v)} }
 func (a Itv) IsConst() bool  { return a.Lo == a.Hi }
 func (a Itv) String() string { return fmt.Sprintf("[%d,%d]", a.Lo, a.Hi) }
 
-// Contains reports whether v lies in the interval.
-func (a Itv) Contains(v uint32) bool { return int64(v) >= a.Lo && int64(v) <= a.Hi }
-
 func (a Itv) join(b Itv) Itv {
 	if b.Lo < a.Lo {
 		a.Lo = b.Lo
@@ -245,23 +242,6 @@ func (a *AbsResult) stateAt(pc int, st *RegState) bool {
 		transferRec(st, &a.CFG.Plan.Recs[at], at)
 	}
 	return true
-}
-
-// Check validates one dynamic register-file observation against the
-// static state at pc: every register's value must lie inside its
-// interval. It returns a descriptive error on the first violation —
-// the soundness oracle for iss.Options.RegProbe differential tests.
-func (a *AbsResult) Check(pc int, regs *[isa.NumRegs]uint32) error {
-	var st RegState
-	if !a.stateAt(pc, &st) {
-		return fmt.Errorf("absint: pc %d executed but statically unreachable", pc)
-	}
-	for r := 0; r < isa.NumRegs; r++ {
-		if !st.R[r].Contains(regs[r]) {
-			return fmt.Errorf("absint: pc %d: a%d = %d outside %v", pc, r, regs[r], st.R[r])
-		}
-	}
-	return nil
 }
 
 // Interpret runs the abstract interpreter over the CFG to a fixpoint

@@ -7,7 +7,6 @@ import (
 	"xtenergy/internal/core"
 	"xtenergy/internal/hwlib"
 	"xtenergy/internal/isa"
-	"xtenergy/internal/iss"
 	"xtenergy/internal/pipeline"
 	"xtenergy/internal/procgen"
 )
@@ -137,25 +136,6 @@ func ComputeBounds(cfg *CFG, proc *procgen.Processor) (*Bounds, error) {
 		}
 	}
 	return b, nil
-}
-
-// InstantiateVars turns per-block intervals into whole-run variable
-// bounds given per-block execution counts (len(counts) == len(Blocks)).
-func (b *Bounds) InstantiateVars(counts []uint64) (lo, hi core.Vars, err error) {
-	if len(counts) != len(b.Block) {
-		return lo, hi, fmt.Errorf("xlint: %d block counts for %d blocks", len(counts), len(b.Block))
-	}
-	for id, vb := range b.Block {
-		c := float64(counts[id])
-		if c == 0 {
-			continue
-		}
-		for i := 0; i < core.NumVars; i++ {
-			lo[i] += c * vb.Lo[i]
-			hi[i] += c * vb.Hi[i]
-		}
-	}
-	return lo, hi, nil
 }
 
 // EnergyInterval brackets the macro-model energy over a variable box:
@@ -344,31 +324,3 @@ func (b *Bounds) PathBounds(m *core.MacroModel) (*PathReport, error) {
 	}
 	return rep, nil
 }
-
-// BlockCounter counts per-block executions from a streamed trace; plug
-// its Sink into iss.Options.TraceSink to instantiate static bounds with
-// the dynamic block counts of a concrete run.
-type BlockCounter struct {
-	cfg    *CFG
-	counts []uint64
-}
-
-// NewBlockCounter returns a counter for this CFG.
-func (c *CFG) NewBlockCounter() *BlockCounter {
-	return &BlockCounter{cfg: c, counts: make([]uint64, len(c.Blocks))}
-}
-
-// Sink is an iss.Options.TraceSink that counts an execution of a block
-// each time its leader instruction retires.
-func (bc *BlockCounter) Sink(batch []iss.TraceEntry) error {
-	for i := range batch {
-		pc := int(batch[i].PC)
-		if b := bc.cfg.BlockAt(pc); b != nil && b.Start == pc {
-			bc.counts[b.ID]++
-		}
-	}
-	return nil
-}
-
-// Counts returns the per-block execution counts accumulated so far.
-func (bc *BlockCounter) Counts() []uint64 { return bc.counts }

@@ -133,21 +133,6 @@ func Disable(codes ...string) Option {
 	}
 }
 
-// Max returns the highest severity present, and false when there are no
-// findings at all.
-func (r *Report) Max() (Severity, bool) {
-	if len(r.Findings) == 0 {
-		return SevNote, false
-	}
-	max := SevNote
-	for _, f := range r.Findings {
-		if f.Sev > max {
-			max = f.Sev
-		}
-	}
-	return max, true
-}
-
 // Count returns the number of findings at or above sev.
 func (r *Report) Count(sev Severity) int {
 	n := 0
@@ -216,14 +201,4 @@ func Analyze(prog *iss.Program, proc *procgen.Processor, opts ...Option) *Report
 		return r.Findings[i].PC < r.Findings[j].PC
 	})
 	return r
-}
-
-// AsmCheck adapts the analyzer into an asm.WithProgramCheck hook:
-// assembly fails when the program has error-severity findings (warnings
-// and notes pass — they are reported by the CLI and the test sweep, not
-// enforced at build time).
-func AsmCheck(proc *procgen.Processor) func(*iss.Program) error {
-	return func(prog *iss.Program) error {
-		return Analyze(prog, proc).Err()
-	}
 }

@@ -12,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"xtenergy/internal/chaos"
 	"xtenergy/internal/rtlpower"
 	"xtenergy/internal/xpowerd"
 )
@@ -343,7 +342,7 @@ func TestMalformedFramesAndRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tc := &chaos.TruncateConn{Conn: conn3, Budget: 6}
+	tc := &truncateConn{Conn: conn3, Budget: 6}
 	xpowerd.WriteFrame(tc, &xpowerd.Request{Op: xpowerd.OpEstimate, Workload: "accumulate"})
 
 	// The daemon must still be healthy after all three abuses.
@@ -362,7 +361,7 @@ func TestSlowlorisDisconnected(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	slow := &chaos.SlowConn{Conn: conn, Delay: 30 * time.Millisecond}
+	slow := &slowConn{Conn: conn, Delay: 30 * time.Millisecond}
 	// ~25 bytes at 30ms/byte can never beat a 150ms frame deadline.
 	go xpowerd.WriteFrame(slow, &xpowerd.Request{Op: xpowerd.OpHealth})
 
@@ -408,7 +407,7 @@ func TestConnectionLimitSheds(t *testing.T) {
 }
 
 func TestBackpressureShedsRequests(t *testing.T) {
-	hold := chaos.NewHoldRequests()
+	hold := newHoldRequests()
 	addr, _ := startServer(t, func(c *xpowerd.Config) {
 		c.Workers = 1
 		c.QueueDepth = -1 // no queue: the single worker is the capacity
@@ -474,7 +473,7 @@ func TestBackpressureShedsRequests(t *testing.T) {
 
 func TestPanicContainment(t *testing.T) {
 	addr, shutdown := startServer(t, func(c *xpowerd.Config) {
-		c.RequestHook = chaos.PanicOnWorkload("gcd")
+		c.RequestHook = panicOnWorkload("gcd")
 	})
 	client := dialClient(t, addr)
 
@@ -509,7 +508,7 @@ func TestPanicContainment(t *testing.T) {
 }
 
 func TestGracefulDrainLetsInflightFinish(t *testing.T) {
-	hold := chaos.NewHoldRequests()
+	hold := newHoldRequests()
 	addr, shutdown := startServer(t, func(c *xpowerd.Config) {
 		c.Workers = 1
 		c.RequestHook = hold.Hook("gcd")
@@ -561,7 +560,7 @@ func TestGracefulDrainLetsInflightFinish(t *testing.T) {
 }
 
 func TestForcedDrainAfterDeadline(t *testing.T) {
-	hold := chaos.NewHoldRequests()
+	hold := newHoldRequests()
 	addr, shutdown := startServer(t, func(c *xpowerd.Config) {
 		c.Workers = 1
 		c.DrainTimeout = 100 * time.Millisecond

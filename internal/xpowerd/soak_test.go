@@ -12,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"xtenergy/internal/chaos"
 	"xtenergy/internal/xpowerd"
 )
 
@@ -37,7 +36,7 @@ func TestSoakConcurrentSessions(t *testing.T) {
 		QueueDepth:   8,
 		DrainTimeout: 20 * time.Second,
 		ReadTimeout:  5 * time.Second,
-		RequestHook:  chaos.PanicOnWorkload("poisoned"),
+		RequestHook:  panicOnWorkload("poisoned"),
 	}
 	srv := xpowerd.New(cfg)
 	if err := srv.Listen(); err != nil {
@@ -117,7 +116,7 @@ func TestSoakConcurrentSessions(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				tc := &chaos.TruncateConn{Conn: conn, Budget: 5 + rng.Intn(10)}
+				tc := &truncateConn{Conn: conn, Budget: 5 + rng.Intn(10)}
 				xpowerd.WriteFrame(tc, &xpowerd.Request{Op: xpowerd.OpEstimate, Workload: "accumulate"})
 			case 4: // oversized frame
 				conn, err := net.Dial("tcp", tcpAddr)
