@@ -95,9 +95,6 @@ func Profile(ctx context.Context, model *core.MacroModel, proc *procgen.Processo
 	if err != nil {
 		return nil, nil, err
 	}
-	if res.Stats.Retired == 0 {
-		return nil, nil, fmt.Errorf("profiler: empty trace")
-	}
 
 	for pc, ln := range perPC {
 		if ln.Count > 0 {
