@@ -239,7 +239,7 @@ func retryDelay(base time.Duration, name string, attempt int) time.Duration {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%s/%d", name, attempt)
 	frac := float64(h.Sum64()%1024) / 1024 // [0, 1)
-	return time.Duration(float64(d) * (0.75 + 0.5*frac))
+	return time.Duration(float64(d) * (0.75 + float64(0.5*frac)))
 }
 
 // sleepBackoff waits d, returning early with ctx.Err() on cancellation

@@ -121,7 +121,7 @@ type MacroModel struct {
 func (m *MacroModel) EstimatePJ(v Vars) float64 {
 	var e float64
 	for i, c := range m.Coef {
-		e += c * v[i]
+		e += float64(c * v[i])
 	}
 	return e
 }

@@ -186,7 +186,7 @@ func (s *Suite) Fig3() (Fig3Summary, error) {
 		if a := abs(pct); a > sum.MaxAbsPct {
 			sum.MaxAbsPct = a
 		}
-		sq += pct * pct
+		sq += float64(pct * pct)
 	}
 	sum.RMSPct = math.Sqrt(sq / float64(len(cr.Observations)))
 	return sum, nil
@@ -197,7 +197,7 @@ func FormatFig3(f Fig3Summary) string {
 	var b strings.Builder
 	b.WriteString("FIG. 3: Fitting error of the test programs\n")
 	for _, p := range f.Points {
-		bar := strings.Repeat("#", int(abs(p.RelErrPct)*4+0.5))
+		bar := strings.Repeat("#", int(float64(abs(p.RelErrPct)*4)+0.5))
 		fmt.Fprintf(&b, "%2d %-22s %+6.2f%% %s\n", p.Index, p.Name, p.RelErrPct, bar)
 	}
 	fmt.Fprintf(&b, "max |error| = %.2f%% (paper: <8.9%%), RMS = %.2f%% (paper: 3.8%%)\n",

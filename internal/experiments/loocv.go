@@ -69,7 +69,7 @@ func (s *Suite) CrossValidation() (CrossValidationResult, error) {
 		} else {
 			a := math.Abs(p.ErrPct)
 			sumAbs += a
-			sumSq += p.ErrPct * p.ErrPct
+			sumSq += float64(p.ErrPct * p.ErrPct)
 			if a > res.MaxAbsPct {
 				res.MaxAbsPct = a
 			}

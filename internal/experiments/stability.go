@@ -63,7 +63,7 @@ func (s *Suite) Stability(n int) (StabilityResult, error) {
 		var sq float64
 		for _, c := range coefs {
 			d := c[j] - mean
-			sq += d * d
+			sq += float64(d * d)
 		}
 		std := math.Sqrt(sq / float64(n-1))
 		row := StabilityRow{Variable: core.VarName(j), MeanPJ: mean, StdPJ: std}

@@ -6,6 +6,12 @@
 // The package is self-contained (stdlib only) and sized for the small,
 // tall-skinny systems that arise in processor energy characterization
 // (tens of test programs by ~21 model variables).
+//
+// Every product that feeds a sum is rounded by an explicit float64(...)
+// conversion. The Go spec lets a compiler fuse x*y + z into one
+// instruction that rounds once, and the arm64 compiler does; the
+// conversion keeps arm64 on the bits amd64 and 386 compute
+// (TestNoFusedMultiplyAdd).
 package linalg
 
 import (
@@ -69,7 +75,7 @@ func (m *Matrix) MulVec(v []float64) ([]float64, error) {
 		mi := m.data[i*m.cols : (i+1)*m.cols]
 		var s float64
 		for j, mij := range mi {
-			s += mij * v[j]
+			s += float64(mij * v[j])
 		}
 		out[i] = s
 	}
@@ -83,7 +89,7 @@ func Dot(a, b []float64) float64 {
 	}
 	var s float64
 	for i, ai := range a {
-		s += ai * b[i]
+		s += float64(ai * b[i])
 	}
 	return s
 }
@@ -100,11 +106,11 @@ func Norm2(v []float64) float64 {
 		ax := math.Abs(x)
 		if scale < ax {
 			r := scale / ax
-			ssq = 1 + ssq*r*r
+			ssq = 1 + float64(ssq*r*r)
 			scale = ax
 		} else {
 			r := ax / scale
-			ssq += r * r
+			ssq += float64(r * r)
 		}
 	}
 	if scale == 0 {

@@ -58,12 +58,12 @@ func FactorQR(a *Matrix) (*QR, error) {
 		for j := k + 1; j < n; j++ {
 			s := qr.At(k, j)
 			for i := k + 1; i < m; i++ {
-				s += qr.At(i, k) * qr.At(i, j)
+				s += float64(qr.At(i, k) * qr.At(i, j))
 			}
 			s *= tau[k]
-			qr.Set(k, j, qr.At(k, j)-s)
+			qr.Set(k, j, qr.At(k, j)-float64(s))
 			for i := k + 1; i < m; i++ {
-				qr.Set(i, j, qr.At(i, j)-s*qr.At(i, k))
+				qr.Set(i, j, qr.At(i, j)-float64(s*qr.At(i, k)))
 			}
 		}
 	}
@@ -79,12 +79,12 @@ func (f *QR) applyQT(b []float64) {
 		}
 		s := b[k]
 		for i := k + 1; i < m; i++ {
-			s += f.qr.At(i, k) * b[i]
+			s += float64(f.qr.At(i, k) * b[i])
 		}
 		s *= f.tau[k]
-		b[k] -= s
+		b[k] -= float64(s)
 		for i := k + 1; i < m; i++ {
-			b[i] -= s * f.qr.At(i, k)
+			b[i] -= float64(s * f.qr.At(i, k))
 		}
 	}
 }
@@ -107,7 +107,7 @@ func (f *QR) Solve(b []float64) ([]float64, error) {
 		}
 		s := work[i]
 		for j := i + 1; j < n; j++ {
-			s -= f.qr.At(i, j) * x[j]
+			s -= float64(f.qr.At(i, j) * x[j])
 		}
 		x[i] = s / rii
 	}
@@ -207,7 +207,7 @@ func (f *QR) GramInverseDiag() ([]float64, error) {
 				s = 1
 			}
 			for k := i + 1; k <= j; k++ {
-				s -= f.qr.At(i, k) * rInv.At(k, j)
+				s -= float64(f.qr.At(i, k) * rInv.At(k, j))
 			}
 			rInv.Set(i, j, s/rii)
 		}
@@ -217,7 +217,7 @@ func (f *QR) GramInverseDiag() ([]float64, error) {
 		var s float64
 		for j := i; j < n; j++ {
 			v := rInv.At(i, j)
-			s += v * v
+			s += float64(v * v)
 		}
 		out[i] = s
 	}

@@ -246,7 +246,7 @@ func (r *Report) FormatRegions() string {
 	b.WriteString("energy by code region (macro-model attribution)\n")
 	fmt.Fprintf(&b, "%-28s %10s %12s %8s\n", "region", "cycles", "energy (nJ)", "share")
 	for _, reg := range r.Regions {
-		bar := strings.Repeat("#", int(reg.Percent/2+0.5))
+		bar := strings.Repeat("#", int(float64(reg.Percent/2)+0.5))
 		fmt.Fprintf(&b, "%-28s %10d %12.2f %7.1f%% %s\n",
 			reg.Label, reg.Cycles, reg.EnergyPJ*1e-3, reg.Percent, bar)
 	}

@@ -100,13 +100,13 @@ func FitLinear(x *linalg.Matrix, y []float64, opts Options) (*Fit, error) {
 	for i, v := range y {
 		r := v - fitted[i]
 		f.Residuals[i] = r
-		ssRes += r * r
+		ssRes += float64(r * r)
 		d := v - mean
-		ssTot += d * d
+		ssTot += float64(d * d)
 		if v != 0 {
 			rel := r / v
 			f.RelErr[i] = rel
-			sumSqRel += rel * rel
+			sumSqRel += float64(rel * rel)
 			if a := math.Abs(rel); a > f.MaxAbsRel {
 				f.MaxAbsRel = a
 			}

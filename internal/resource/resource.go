@@ -49,14 +49,14 @@ func FromStats(comp *tie.Compiled, st *iss.Stats) (Vars, error) {
 		}
 		cycles := float64(cnt) * float64(ci.Latency)
 		for k := range w {
-			out[k] += w[k] * cycles
+			out[k] += float64(w[k] * cycles)
 		}
 	}
 	if len(comp.BusTapped) > 0 {
 		bw := comp.BusTapWeights()
 		arith := arithInstrCount(st)
 		for k := range bw {
-			out[k] += bw[k] * float64(arith)
+			out[k] += float64(bw[k] * float64(arith))
 		}
 	}
 	return out, nil

@@ -76,7 +76,7 @@ func FormatProfile(points []ProfilePoint, clockMHz float64) string {
 	}
 	for _, p := range points {
 		mw := p.PowerMW(clockMHz)
-		bar := strings.Repeat("#", int(mw/peak*50+0.5))
+		bar := strings.Repeat("#", int(float64(mw/peak*50)+0.5))
 		fmt.Fprintf(&b, "%8d %8.1f mW %s\n", p.StartCycle, mw, bar)
 	}
 	return b.String()

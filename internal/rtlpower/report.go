@@ -59,7 +59,7 @@ func FormatBreakdown(rows []BlockEnergy, clockMHz float64, cycles uint64) string
 	b.WriteString("per-block energy breakdown\n")
 	fmt.Fprintf(&b, "%-18s %14s %8s  %s\n", "block", "energy (nJ)", "share", "")
 	for _, r := range rows {
-		bar := strings.Repeat("#", int(r.Percent/2+0.5))
+		bar := strings.Repeat("#", int(float64(r.Percent/2)+0.5))
 		fmt.Fprintf(&b, "%-18s %14.2f %7.1f%%  %s\n", r.Name, r.PJ*1e-3, r.Percent, bar)
 	}
 	if cycles > 0 && clockMHz > 0 {

@@ -87,7 +87,7 @@ func ComputeBounds(cfg *CFG, proc *procgen.Processor) (*Bounds, error) {
 					vb.addExact(core.VCustomSideEffect, lat)
 				}
 				for k := 0; k < hwlib.NumCategories; k++ {
-					vb.addExact(core.VCustomBase+k, rec.CustomWeights[k]*lat)
+					vb.addExact(core.VCustomBase+k, float64(rec.CustomWeights[k]*lat))
 				}
 				continue
 			}
