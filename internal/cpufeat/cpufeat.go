@@ -1,8 +1,7 @@
 // Package cpufeat detects, at process start, the CPU features the
 // rtlpower stripe-walker dispatch ladder can use: AVX2 and AVX-512 on
 // amd64 (CPUID plus an XGETBV check that the OS actually saves the
-// wider register state), and ASIMD/NEON on arm64 (Linux HWCAP). It is
-// stdlib-only by design — the same job golang.org/x/sys/cpu or the
+// wider register state). It is stdlib-only by design — the same job golang.org/x/sys/cpu or the
 // vendored templexxx/cpu do for klauspost/reedsolomon — so the module
 // keeps its zero-dependency property.
 //
@@ -19,6 +18,4 @@ var (
 	// AVX512 reports the F+BW+DQ+VL subset the 64-lane walker needs
 	// (and the OS saving ZMM/opmask state).
 	AVX512 bool
-	// NEON reports AArch64 Advanced SIMD.
-	NEON bool
 )

@@ -18,13 +18,11 @@ const (
 	KernelAVX2
 	// KernelAVX512 is the 64-lane amd64 kernel (lanes64_amd64.s).
 	KernelAVX512
-	// KernelNEON is the 8-lane arm64 kernel (lanes_arm64.s).
-	KernelNEON
 
 	numKernels
 )
 
-var kernelNames = [numKernels]string{"portable", "avx2", "avx512", "neon"}
+var kernelNames = [numKernels]string{"portable", "avx2", "avx512"}
 
 // String returns the tier's name.
 func (k Kernel) String() string {

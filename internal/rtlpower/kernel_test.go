@@ -11,7 +11,7 @@ import (
 
 func TestKernelWidth(t *testing.T) {
 	widths := map[Kernel]int{
-		KernelPortable: 8, KernelAVX2: 16, KernelAVX512: 64, KernelNEON: 8,
+		KernelPortable: 8, KernelAVX2: 16, KernelAVX512: 64,
 	}
 	for k, want := range widths {
 		if got := k.width(); got != want {

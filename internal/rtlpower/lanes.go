@@ -28,8 +28,7 @@ type laneRec struct {
 // adds each record's toggle count into counts[rec.slot]. off and cnt
 // are consumed in place; st is overwritten with the lanes' final
 // states, which for lanes that drained early include sentinel idle
-// draws — diagnostic only, chunk RNG continuity uses JumpAhead. Field
-// offsets are hardcoded in lanes_arm64.s and pinned by TestWalk8Layout.
+// draws — diagnostic only, chunk RNG continuity uses JumpAhead.
 type walk8 struct {
 	recs   []laneRec
 	counts []uint32
@@ -71,8 +70,8 @@ const sentinelRem = ^uint32(0)
 // inner loop is 8 independent xorshift chains with branchless toggle
 // counting and no per-draw bookkeeping. Exhausted lanes idle on a
 // sentinel record with threshold 0 (counts nothing) until all lanes
-// drain. It is the reference implementation the arm64 SIMD walker is
-// differentially tested against, and the production walker elsewhere.
+// drain. It is the production walker off amd64, and on amd64 hosts
+// without AVX2.
 func countStripes8Go(w *walk8) {
 	var rem, thr, acc, slot [8]uint32
 	active := 0

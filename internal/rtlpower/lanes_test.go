@@ -15,36 +15,14 @@ func skipOn32Bit(t *testing.T) {
 	}
 }
 
-// TestWalk8Layout pins the struct layout lanes_arm64.s hardcodes. If
-// this fails, the assembly's field offsets must be updated in lockstep.
-func TestWalk8Layout(t *testing.T) {
-	skipOn32Bit(t)
-	var w walk8
-	if got := unsafe.Sizeof(laneRec{}); got != 12 {
-		t.Errorf("sizeof(laneRec) = %d, want 12", got)
-	}
-	offs := []struct {
-		name string
-		got  uintptr
-		want uintptr
-	}{
-		{"recs", unsafe.Offsetof(w.recs), 0},
-		{"counts", unsafe.Offsetof(w.counts), 24},
-		{"off", unsafe.Offsetof(w.off), 48},
-		{"cnt", unsafe.Offsetof(w.cnt), 80},
-		{"st", unsafe.Offsetof(w.st), 112},
-	}
-	for _, o := range offs {
-		if o.got != o.want {
-			t.Errorf("offsetof(walk8.%s) = %d, want %d", o.name, o.got, o.want)
-		}
-	}
-}
-
-// TestWalk16Layout pins the struct layout lanes16_amd64.s hardcodes.
+// TestWalk16Layout pins the struct layout lanes16_amd64.s hardcodes,
+// and the 12-byte laneRec both AVX kernels index.
 func TestWalk16Layout(t *testing.T) {
 	skipOn32Bit(t)
 	var w walk16
+	if got := unsafe.Sizeof(laneRec{}); got != 12 {
+		t.Errorf("sizeof(laneRec) = %d, want 12", got)
+	}
 	offs := []struct {
 		name string
 		got  uintptr
@@ -143,11 +121,10 @@ func cloneWalk(w *walk8) *walk8 {
 	return &c
 }
 
-// TestCountStripes8MatchesOracle differentially tests both walker
-// implementations — the portable lockstep walker and whatever
-// countStripes8 dispatches to on this architecture (the NEON kernel on
-// arm64) — against the one-lane-at-a-time scalar oracle, on random
-// walks including empty lanes, shared slots, and boundary thresholds.
+// TestCountStripes8MatchesOracle differentially tests the portable
+// lockstep walker against the one-lane-at-a-time scalar oracle, on
+// random walks including empty lanes, shared slots, and boundary
+// thresholds.
 func TestCountStripes8MatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 300; trial++ {
@@ -155,13 +132,9 @@ func TestCountStripes8MatchesOracle(t *testing.T) {
 		want := cloneWalk(w)
 		walkOracle(want)
 
-		gotGo := cloneWalk(w)
-		countStripes8Go(gotGo)
-		compareWalk(t, "countStripes8Go", trial, want, gotGo)
-
-		gotDisp := cloneWalk(w)
-		countStripes8(gotDisp)
-		compareWalk(t, "countStripes8", trial, want, gotDisp)
+		got := cloneWalk(w)
+		countStripes8Go(got)
+		compareWalk(t, "countStripes8Go", trial, want, got)
 	}
 }
 

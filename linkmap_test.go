@@ -21,8 +21,8 @@ import (
 const oracleDirective = "//xtenergy:oracle"
 
 // linkArchs are the architectures whose builds make up the link map:
-// each has its own walker files, so one alone would leave the others'
-// functions unlinked.
+// amd64 links the assembly walkers and the CPUID probe, 386 and arm64
+// the portable walker, so no one build links every function.
 var linkArchs = []string{"amd64", "386", "arm64"}
 
 // TestInternalFuncsLinked fails on any non-test function under internal/
