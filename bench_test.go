@@ -242,7 +242,7 @@ func BenchmarkPlanBuild(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p := plan.Build(prog.Code, prog.CodeBase, prog.Uncached, proc.TIE)
+		p := plan.Build(prog.Code, prog.Uncached, proc.TIE)
 		if len(p.Recs) != len(prog.Code) {
 			b.Fatal("short plan")
 		}

@@ -97,7 +97,7 @@ func runBench(argv []string) error {
 	current["plan_build"] = toEntry(testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			p := plan.Build(prog.Code, prog.CodeBase, prog.Uncached, proc.TIE)
+			p := plan.Build(prog.Code, prog.Uncached, proc.TIE)
 			if len(p.Recs) != len(prog.Code) {
 				b.Fatal("short plan")
 			}

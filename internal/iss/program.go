@@ -29,7 +29,7 @@ type Segment struct {
 }
 
 // Program is an executable program image: code, initialized data, and
-// layout metadata. Instruction i resides at byte address CodeBase+4*i.
+// layout metadata. Instruction i resides at byte address 4*i.
 type Program struct {
 	// Name labels the program in reports.
 	Name string
@@ -44,9 +44,6 @@ type Program struct {
 	// fetches). Nil means fully cached; otherwise it must have the same
 	// length as Code.
 	Uncached []bool
-	// CodeBase is the byte address of Code[0]; it determines I-cache
-	// indexing. The default 0 is fine for standalone programs.
-	CodeBase uint32
 	// Labels maps code labels to their instruction index (populated by
 	// the assembler; used for region-level energy profiling).
 	Labels map[string]int
@@ -70,13 +67,13 @@ type Program struct {
 // the parallel characterization workers, xlint, and the reference
 // estimator all share it. A different comp (or nil) rebuilds.
 //
-// Callers must not mutate Code, Uncached, or CodeBase after the first
-// Plan call: the cached records would go stale.
+// Callers must not mutate Code or Uncached after the first Plan call:
+// the cached records would go stale.
 func (p *Program) Plan(comp *tie.Compiled) *plan.Plan {
 	p.planMu.Lock()
 	defer p.planMu.Unlock()
 	if p.plan == nil || p.planComp != comp {
-		p.plan = plan.Build(p.Code, p.CodeBase, p.Uncached, comp)
+		p.plan = plan.Build(p.Code, p.Uncached, comp)
 		p.planComp = comp
 	}
 	return p.plan

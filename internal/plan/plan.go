@@ -86,8 +86,8 @@ type Rec struct {
 	// instructions (see DecodeImm6); 0 otherwise.
 	SImm int32
 
-	// FetchAddr is the instruction's byte address (CodeBase + 4*pc),
-	// the I-cache lookup key. Zero in records built by Describe.
+	// FetchAddr is the instruction's byte address (4*pc), the I-cache
+	// lookup key. Zero in records built by Describe.
 	FetchAddr uint32
 	// Uncached reports that the instruction resides in the uncached
 	// region: its fetch bypasses the I-cache.
@@ -143,7 +143,7 @@ type Plan struct {
 // fields are tolerated — the record is marked accordingly and the
 // simulator/analyzers handle them exactly as they did when deriving
 // per step.
-func Build(code []isa.Instr, codeBase uint32, uncached []bool, comp *tie.Compiled) *Plan {
+func Build(code []isa.Instr, uncached []bool, comp *tie.Compiled) *Plan {
 	p := &Plan{Comp: comp, Recs: make([]Rec, len(code))}
 	if comp != nil {
 		p.BusTap = comp.BusTapWeights()
@@ -152,7 +152,7 @@ func Build(code []isa.Instr, codeBase uint32, uncached []bool, comp *tie.Compile
 	for pc := range code {
 		r := &p.Recs[pc]
 		*r = Describe(comp, code[pc])
-		r.FetchAddr = codeBase + uint32(pc)*isa.WordBytes
+		r.FetchAddr = uint32(pc) * isa.WordBytes
 		r.Uncached = uncached != nil && uncached[pc]
 		// Resolve pc-relative targets (Describe leaves them at -1).
 		in := code[pc]

@@ -118,7 +118,7 @@ func TestBuildResolvesTargets(t *testing.T) {
 		{Op: isa.OpADD, Rd: 1, Rs: 2, Rt: 3}, // 4
 		{Op: isa.OpRET},                      // 5
 	}
-	p := plan.Build(code, 0x100, []bool{false, false, false, false, false, true}, nil)
+	p := plan.Build(code, []bool{false, false, false, false, false, true}, nil)
 	wantTargets := []int{-1, 4, 0, 5, -1, -1}
 	for pc, want := range wantTargets {
 		if got := p.Recs[pc].Target; got != want {
@@ -126,7 +126,7 @@ func TestBuildResolvesTargets(t *testing.T) {
 		}
 	}
 	for pc := range code {
-		if got, want := p.Recs[pc].FetchAddr, uint32(0x100+4*pc); got != want {
+		if got, want := p.Recs[pc].FetchAddr, uint32(4*pc); got != want {
 			t.Errorf("Recs[%d].FetchAddr = %#x, want %#x", pc, got, want)
 		}
 	}
@@ -150,7 +150,7 @@ func TestBuildMatchesDescribe(t *testing.T) {
 		{Op: isa.OpMUL, Rd: 4, Rs: 3, Rt: 3},
 		{Op: isa.OpBEQI, Rs: 4, Rt: 0x3F, Imm: -2},
 	}
-	p := plan.Build(code, 0, nil, comp)
+	p := plan.Build(code, nil, comp)
 	for pc, in := range code {
 		got := p.Recs[pc]
 		want := plan.Describe(comp, in)
@@ -192,7 +192,7 @@ func TestUndefinedCustomAndInvalidOpcode(t *testing.T) {
 	p := plan.Build([]isa.Instr{
 		{Op: isa.OpCUSTOM, CustomID: 63, Rd: 1, Rs: 2, Rt: 3},
 		{Op: isa.Opcode(250)},
-	}, 0, nil, comp)
+	}, nil, comp)
 	if r := p.Recs[0]; r.CI != nil || r.Use != (plan.RegUse{}) {
 		t.Errorf("undefined custom must have no ports: %+v", r)
 	}
