@@ -147,6 +147,13 @@ func TestOutputGoldens(t *testing.T) {
 	if err := json.Unmarshal(data, &want); err != nil {
 		t.Fatal(err)
 	}
+	compareRows(t, got, want)
+}
+
+// compareRows fails on every row of got that has no recorded row or
+// differs from it, and on every recorded row that got lacks.
+func compareRows[T comparable](t *testing.T, got, want map[string]T) {
+	t.Helper()
 	keys := make([]string, 0, len(got))
 	for k := range got {
 		keys = append(keys, k)
@@ -158,7 +165,7 @@ func TestOutputGoldens(t *testing.T) {
 		case !ok:
 			t.Errorf("%s: no recorded row", k)
 		case got[k] != w:
-			t.Errorf("%s: output changed\n got %+v\nwant %+v", k, got[k], w)
+			t.Errorf("%s: changed\n got %+v\nwant %+v", k, got[k], w)
 		}
 	}
 	for k := range want {
