@@ -67,8 +67,8 @@ func DefaultD() Config {
 // Cache is a set-associative tag array with true-LRU replacement.
 type Cache struct {
 	cfg       Config
-	sets      int
 	lineShift uint
+	tagShift  uint // log2 of the set count: line bits above the index
 	setMask   uint32
 	// tags[set*ways+way]; valid[...] same indexing.
 	tags  []uint32
@@ -86,14 +86,10 @@ func New(cfg Config) *Cache {
 	}
 	lines := cfg.SizeBytes / cfg.LineBytes
 	sets := lines / cfg.Ways
-	shift := uint(0)
-	for 1<<shift != cfg.LineBytes {
-		shift++
-	}
 	return &Cache{
 		cfg:       cfg,
-		sets:      sets,
-		lineShift: shift,
+		lineShift: log2(cfg.LineBytes),
+		tagShift:  log2(sets),
 		setMask:   uint32(sets - 1),
 		tags:      make([]uint32, lines),
 		valid:     make([]bool, lines),
@@ -106,7 +102,7 @@ func New(cfg Config) *Cache {
 func (c *Cache) Access(addr uint32) bool {
 	line := addr >> c.lineShift
 	set := int(line & c.setMask)
-	tag := line >> uint(bitsFor(c.sets))
+	tag := line >> c.tagShift
 	base := set * c.cfg.Ways
 	c.clock++
 	for w := 0; w < c.cfg.Ways; w++ {
@@ -146,8 +142,10 @@ func (c *Cache) Reset() {
 	c.clock = 0
 }
 
-func bitsFor(n int) int {
-	b := 0
+// log2 returns the exponent of a power of two n (Validate guarantees
+// line and set counts are powers of two).
+func log2(n int) uint {
+	b := uint(0)
 	for 1<<b < n {
 		b++
 	}
