@@ -8,19 +8,23 @@ import (
 	"xtenergy/internal/asm"
 	"xtenergy/internal/iss"
 	"xtenergy/internal/procgen"
+	"xtenergy/internal/tie"
 	"xtenergy/internal/workloads"
 )
 
-// countdown returns a program that retires roughly 2n+2 instructions.
-func countdown(t *testing.T, a *asm.Assembler, n int) *iss.Program {
+// countdown returns a program that retires roughly (2+len(body))n+2
+// instructions: body runs once per loop iteration.
+func countdown(t *testing.T, a *asm.Assembler, n int, body string) *iss.Program {
 	t.Helper()
 	prog, err := a.Assemble("countdown", fmt.Sprintf(`
  movi a2, %d
+ movi a3, 7
 loop:
+%s
  addi a2, a2, -1
  bnez a2, loop
  ret
-`, n))
+`, n, body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,40 +34,56 @@ loop:
 // TestRunSteadyStateAllocs pins the hot loop's allocation behavior: a
 // run allocates a constant amount (the Result and first-run lazy state),
 // independent of how many instructions retire. Every per-step structure
-// — the plan record, the scratch trace entry, the exec dispatch — is
-// prebuilt or reused, so retiring 100x more instructions must not
-// allocate a single extra object.
+// — the plan record, the scratch trace entry, the exec dispatch, the
+// state custom semantics see — is prebuilt or reused, so retiring 100x
+// more instructions must not allocate a single extra object. The
+// custom cases run a TIE instruction every iteration, on an extension
+// without custom registers (des) and on one with them (mac).
 func TestRunSteadyStateAllocs(t *testing.T) {
-	proc, err := procgen.Generate(procgen.Default(), nil)
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name string
+		ext  *tie.Extension
+		body string
+	}{
+		{"base", nil, ""},
+		{"custom-no-regs", workloads.DESExtension(), " dperm a4, a3, a2"},
+		{"custom-regs", workloads.MACExtension(), " mac16 a0, a3, a2"},
 	}
-	a := asm.New(proc.TIE)
-	short := countdown(t, a, 1_000)
-	long := countdown(t, a, 100_000)
-
-	sim := iss.New(proc)
-	run := func(p *iss.Program) func() {
-		return func() {
-			if _, err := sim.Run(p, iss.Options{}); err != nil {
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			proc, err := procgen.Generate(procgen.Default(), tc.ext)
+			if err != nil {
 				t.Fatal(err)
 			}
-		}
-	}
-	// Warm up both programs so plan construction and lazy simulator
-	// state are paid before measuring.
-	run(short)()
-	run(long)()
+			a := asm.New(proc.TIE)
+			short := countdown(t, a, 1_000, tc.body)
+			long := countdown(t, a, 100_000, tc.body)
 
-	allocsShort := testing.AllocsPerRun(10, run(short))
-	allocsLong := testing.AllocsPerRun(10, run(long))
-	if allocsShort != allocsLong {
-		t.Errorf("allocations scale with run length: %.1f allocs for ~2k instrs vs %.1f for ~200k", allocsShort, allocsLong)
-	}
-	// The constant is the Result allocation; a handful is tolerable, a
-	// per-step term is not.
-	if allocsLong > 4 {
-		t.Errorf("steady-state run allocates %.1f objects; want <= 4", allocsLong)
+			sim := iss.New(proc)
+			run := func(p *iss.Program) func() {
+				return func() {
+					if _, err := sim.Run(p, iss.Options{}); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			// Warm up both programs so plan construction and lazy
+			// simulator state are paid before measuring.
+			run(short)()
+			run(long)()
+
+			allocsShort := testing.AllocsPerRun(10, run(short))
+			allocsLong := testing.AllocsPerRun(10, run(long))
+			if allocsShort != allocsLong {
+				t.Errorf("allocations scale with run length: %.1f allocs for the short run vs %.1f for the 100x longer one", allocsShort, allocsLong)
+			}
+			// The constant is the Result allocation (plus a clone of
+			// the custom registers); a handful is tolerable, a
+			// per-step term is not.
+			if allocsLong > 4 {
+				t.Errorf("steady-state run allocates %.1f objects; want <= 4", allocsLong)
+			}
+		})
 	}
 }
 

@@ -98,6 +98,11 @@ type Simulator struct {
 
 	regs [isa.NumRegs]uint32
 	tie  *tie.State
+	// noTIE is the empty state custom semantics see when the extension
+	// has no custom registers. It lives on the simulator so that a
+	// custom instruction allocates nothing; execCustom zeroes it before
+	// every call.
+	noTIE tie.State
 
 	// RAM: memBytes is the architectural size (Config.MemBytes), which
 	// every bounds check and memory fault uses; mem materializes only a
@@ -475,7 +480,8 @@ func (s *Simulator) execCustom(rec *plan.Rec, te *TraceEntry) (int, error) {
 	}
 	st := s.tie
 	if st == nil {
-		st = &tie.State{}
+		s.noTIE = tie.State{}
+		st = &s.noTIE
 	}
 	result, err := runSemantics(ci, st, ops)
 	if err != nil {
