@@ -146,10 +146,11 @@ func (e *Estimator) EstimateTrace(trace []iss.TraceEntry) (Report, error) {
 
 // EstimateProgram runs the full "slow path" (RTL simulation of the
 // synthesized processor) for one program: the ISS streams retired
-// instructions into the incremental estimator through a bounded batch
-// channel (see RunStreamed), so the trace is never materialized —
-// memory stays O(1) in the run length and simulation overlaps with
-// estimation. The returned Result carries statistics but no Trace.
+// instructions into the incremental estimator through a small ring of
+// compiled chunks (see RunStreamed), so the trace is never
+// materialized — memory stays O(1) in the run length and simulation
+// overlaps with estimation on two goroutines. The returned Result
+// carries statistics but no Trace.
 //
 // opts lets callers set watchdog limits or fault injection; any trace
 // options in it are overridden by the stream (see RunStreamed).

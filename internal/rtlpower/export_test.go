@@ -24,3 +24,13 @@ func RecordTrace(tb testing.TB, proc *procgen.Processor, prog *iss.Program) ([]i
 	}
 	return trace, res
 }
+
+// ChunkDraws is a chunk's draw total, with the lane walk's bounds on
+// it, so the external tests can check which path a program's chunks
+// take.
+func ChunkDraws(s *StreamEstimator, chunk []iss.TraceEntry) uint64 { return s.chunkDraws(chunk) }
+
+const (
+	LaneMinDraws  = laneMinDraws
+	MaxChunkDraws = maxChunkDraws
+)

@@ -10,8 +10,8 @@ import (
 // and SIMD alike — against the sequential scalar chain: identical
 // per-segment toggle counts and identical exit RNG state. The decoder
 // keeps every schedule inside the lane kernel's contract (total draws
-// in [laneMinDraws, maxChunkDraws)), which is what consumeChunk
-// guarantees in production.
+// in [laneMinDraws, maxChunkDraws)), which is what compile
+// guarantees in production for a lane walk.
 func FuzzKernelDifferential(f *testing.F) {
 	f.Add([]byte{1}, uint32(1))
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}, uint32(0xdeadbeef))
@@ -25,39 +25,22 @@ func FuzzKernelDifferential(f *testing.F) {
 		if seed == 0 {
 			seed = 1 // the xorshift chain is seeded odd in production
 		}
-		sc := &schedule{}
+		var segs []testSeg
+		var total uint64
 		// Each 5-byte group is one segment: 4 bytes of threshold, 1 byte
 		// scaled into a draw run of 1..4096.
-		for i := 0; i+5 <= len(data) && len(sc.segs) < 64; i += 5 {
-			thr := binary.LittleEndian.Uint32(data[i:])
-			draws := uint32(data[i+4])*16 + 1
-			sc.segs = append(sc.segs, segRec{thr: thr, draws: draws, bk: uint32(len(sc.segs)) << 1})
-			sc.total += uint64(draws)
+		for i := 0; i+5 <= len(data) && len(segs) < 64; i += 5 {
+			g := testSeg{thr: binary.LittleEndian.Uint32(data[i:]), draws: uint32(data[i+4])*16 + 1}
+			segs = append(segs, g)
+			total += uint64(g.draws)
 		}
-		if len(sc.segs) == 0 {
-			sc.segs = append(sc.segs, segRec{thr: seed, draws: 1})
-			sc.total = 1
+		if len(segs) == 0 {
+			segs = append(segs, testSeg{thr: seed, draws: 1})
+			total = 1
 		}
-		if sc.total < laneMinDraws {
-			pad := uint32(laneMinDraws - sc.total)
-			sc.segs[len(sc.segs)-1].draws += pad
-			sc.total += uint64(pad)
+		if total < laneMinDraws {
+			segs[len(segs)-1].draws += uint32(laneMinDraws - total)
 		}
-		sc.counts = make([]uint32, len(sc.segs))
-
-		want, wantState := seqScheduleCounts(seed, sc)
-
-		for _, k := range SupportedKernels() {
-			s := &StreamEstimator{rng: seed, kernel: k}
-			s.countChunkLanes(sc)
-			for i := range want {
-				if sc.counts[i] != want[i] {
-					t.Fatalf("%s: counts[%d] = %d, want %d", k, i, sc.counts[i], want[i])
-				}
-			}
-			if s.rng != wantState {
-				t.Fatalf("%s: exit state %#x, want %#x", k, s.rng, wantState)
-			}
-		}
+		checkChunkWalks(t, "fuzz", segs, seed)
 	})
 }

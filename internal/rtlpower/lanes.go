@@ -1,17 +1,18 @@
 package rtlpower
 
 // The lane walker is the parallel core of the reference estimator. A
-// chunk of trace entries compiles (see scheduleEntry) into a flat list
-// of segments — runs of RNG draws sharing one toggle threshold — laid
-// end to end on the single conceptual xorshift32 draw chain. The walker
+// chunk of trace entries compiles (see StreamEstimator.compile) into
+// segments — runs of RNG draws sharing one toggle threshold — laid end
+// to end on the single conceptual xorshift32 draw chain. Compilation
 // splits that chain into 8 equal stripes whose start states come from
-// JumpAhead, clips segments at stripe boundaries into per-lane records,
-// and advances all 8 lanes together: the serial latency-bound xorshift
-// recurrence becomes 8 independent recurrences and the loop runs at ILP
-// (or SIMD, see kernel.go) speed. Every lane enumerates exactly the
-// states the sequential walk would have produced at its draw offsets,
-// and toggle counts are integers accumulated per segment, so partition
-// sums are bit-identical to the sequential counts.
+// JumpAhead and clips segments at stripe boundaries into per-lane
+// records; the walker advances all 8 lanes together: the serial
+// latency-bound xorshift recurrence becomes 8 independent recurrences
+// and the loop runs at ILP (or SIMD, see kernel.go) speed. Every lane
+// enumerates exactly the states the sequential walk would have
+// produced at its draw offsets, and toggle counts are integers
+// accumulated per segment, so partition sums are bit-identical to the
+// sequential counts.
 
 // laneRec is one stripe-clipped run of draws under a single threshold.
 // A segment split by a stripe boundary becomes two records with the

@@ -1,6 +1,7 @@
 package rtlpower
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"unsafe"
@@ -272,15 +273,34 @@ func compareCounts(t *testing.T, impl string, trial int, want, got []uint32) {
 	}
 }
 
-// seqScheduleCounts is the sequential oracle for a whole chunk
-// schedule: one scalar chain through every segment in order.
-func seqScheduleCounts(state uint32, sc *schedule) ([]uint32, uint32) {
-	out := make([]uint32, len(sc.segs))
-	for i := range sc.segs {
-		thr := sc.segs[i].thr
-		for k := uint32(0); k < sc.segs[i].draws; k++ {
+// testSeg is one draw segment of a hand-built chunk.
+type testSeg struct{ thr, draws uint32 }
+
+// compileSegs clips segs, laid end to end on the draw chain from state
+// st, into a schedule of lanes stripes, as compile does with an entry's
+// segments.
+func compileSegs(segs []testSeg, lanes int, st uint32) *schedule {
+	var total uint64
+	for _, g := range segs {
+		total += uint64(g.draws)
+	}
+	sc := &schedule{}
+	sc.begin(1, len(segs), lanes, st, total)
+	for _, g := range segs {
+		sc.add(g.thr, g.draws)
+	}
+	sc.endLanes()
+	return sc
+}
+
+// seqScheduleCounts is the sequential oracle for a whole chunk: one
+// scalar chain through every segment in order.
+func seqScheduleCounts(state uint32, segs []testSeg) ([]uint32, uint32) {
+	out := make([]uint32, len(segs))
+	for i, g := range segs {
+		for k := uint32(0); k < g.draws; k++ {
 			state = xorshiftStep(state)
-			if state < thr {
+			if state < g.thr {
 				out[i]++
 			}
 		}
@@ -288,16 +308,42 @@ func seqScheduleCounts(state uint32, sc *schedule) ([]uint32, uint32) {
 	return out, state
 }
 
-// TestCountChunkLanesMatchesSequential checks the full lane kernel —
-// stripe clipping, jump-ahead start states — against the sequential
-// chain on random schedules: identical per-segment counts and identical
-// exit RNG state.
+// checkChunkWalks compiles segs for the scalar walk and for every tier
+// this host can run — not just the default dispatch — and requires each
+// walk to reproduce the sequential chain exactly: per-segment counts,
+// and the exit state compile jumps the stream's RNG to.
+func checkChunkWalks(t *testing.T, label string, segs []testSeg, seed uint32) {
+	t.Helper()
+	want, wantState := seqScheduleCounts(seed, segs)
+	widths := []int{1}
+	for _, k := range SupportedKernels() {
+		widths = append(widths, k.width())
+	}
+	for _, lanes := range widths {
+		sc := compileSegs(segs, lanes, seed)
+		sc.walk()
+		for i := range want {
+			if sc.counts[i] != want[i] {
+				t.Fatalf("%s (%d lanes): counts[%d] = %d, want %d", label, lanes, i, sc.counts[i], want[i])
+			}
+		}
+		if got := JumpAhead(seed, sc.total); got != wantState {
+			t.Fatalf("%s (%d lanes): exit state %#x, want %#x", label, lanes, got, wantState)
+		}
+	}
+}
+
+// TestCountChunkLanesMatchesSequential checks the full chunk walk —
+// stripe clipping, jump-ahead start states, the lane kernels and the
+// scalar chain — against the sequential chain on random chunks:
+// identical per-segment counts and identical exit RNG state.
 func TestCountChunkLanesMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 60; trial++ {
-		sc := &schedule{}
 		nseg := 1 + rng.Intn(40)
-		for i := 0; i < nseg; i++ {
+		segs := make([]testSeg, nseg)
+		var total uint64
+		for i := range segs {
 			var thr uint32
 			switch rng.Intn(4) {
 			case 0:
@@ -305,37 +351,14 @@ func TestCountChunkLanesMatchesSequential(t *testing.T) {
 			default:
 				thr = rng.Uint32()
 			}
-			draws := uint32(1 + rng.Intn(3000))
-			sc.segs = append(sc.segs, segRec{thr: thr, draws: draws, bk: uint32(i) << 1})
-			sc.total += uint64(draws)
+			segs[i] = testSeg{thr: thr, draws: uint32(1 + rng.Intn(3000))}
+			total += uint64(segs[i].draws)
 		}
-		if sc.total < laneMinDraws {
-			// Pad the last segment so the schedule is inside the lane
-			// kernel's sizing envelope, like consumeChunk guarantees.
-			pad := uint32(laneMinDraws - sc.total)
-			sc.segs[nseg-1].draws += pad
-			sc.total += uint64(pad)
+		if total < laneMinDraws {
+			// Pad the last segment so the chunk is inside the lane
+			// kernel's sizing envelope, like compile guarantees.
+			segs[nseg-1].draws += uint32(laneMinDraws - total)
 		}
-		sc.counts = make([]uint32, nseg)
-
-		seed := rng.Uint32() | 1
-		want, wantState := seqScheduleCounts(seed, sc)
-
-		// Every tier the host can run — not just the default dispatch —
-		// must reproduce the sequential chain exactly.
-		for _, k := range SupportedKernels() {
-			s := &StreamEstimator{rng: seed, kernel: k}
-			s.countChunkLanes(sc)
-
-			for i := range want {
-				if sc.counts[i] != want[i] {
-					t.Fatalf("trial %d (%s): counts[%d] = %d, want %d",
-						trial, k, i, sc.counts[i], want[i])
-				}
-			}
-			if s.rng != wantState {
-				t.Fatalf("trial %d (%s): exit state %#x, want %#x", trial, k, s.rng, wantState)
-			}
-		}
+		checkChunkWalks(t, fmt.Sprintf("trial %d", trial), segs, rng.Uint32()|1)
 	}
 }

@@ -23,21 +23,24 @@ import (
 // sequence it produces a Report bit-identical to EstimateTrace, in O(1)
 // memory regardless of how many instructions are consumed.
 //
-// Internally each consumed chunk is compiled into a draw schedule —
-// the per-block segments of toggle-RNG draws an entry implies are a
-// pure function of the trace entry and its plan record — and the
-// schedule's one serial draw chain is then counted by jump-ahead lanes
-// (see lanes.go and jump.go) instead of one latency-bound xorshift
-// recurrence — 8, 16, or 64 lanes wide depending on the estimator's
-// kernel tier (see kernel.go). The lanes enumerate exactly the states the
-// sequential walk would, toggle counts are integers, and the energy
-// fold replays the float operations in the sequential order, so
-// reports, per-block energies, and per-entry (OnEntry) energies are
-// bit-identical to the sequential path.
+// Each consumed chunk goes through three steps. Compile prices the
+// entries into a draw schedule — the per-block segments of toggle-RNG
+// draws an entry implies are a pure function of the trace entry and its
+// plan record — already clipped into the stripes of jump-ahead lanes
+// (see lanes.go and jump.go). Walk counts the schedule's toggles on
+// those lanes instead of one latency-bound xorshift recurrence — 8, 16,
+// or 64 lanes wide depending on the estimator's kernel tier (see
+// kernel.go). Fold turns the counts into energies. The lanes enumerate
+// exactly the states the sequential walk would, toggle counts are
+// integers, and the fold replays the float operations in the
+// sequential order, so reports, per-block energies, and per-entry
+// (OnEntry) energies are bit-identical to the sequential path.
 //
 // A StreamEstimator is a single estimation pass: Consume any number of
 // batches in retirement order, then Finish once. It is not safe for
-// concurrent use; obtain one per run via Estimator.Stream.
+// concurrent use; obtain one per run via Estimator.Stream. RunStreamed
+// splits one stream's steps over its two goroutines, so that compile
+// state (below) and fold state are each touched by one goroutine only.
 type StreamEstimator struct {
 	e *Estimator
 
@@ -46,13 +49,16 @@ type StreamEstimator struct {
 	// Used by the windowed power profile; leave nil otherwise.
 	OnEntry func(idx int, cycles uint64, pj float64)
 
+	// Compile state: advanced by compile (and by consumeEntrySeq).
 	rng      uint32
-	perBlock []float64
 	activity []int // active cycles per block for the current instruction
 	cycles   uint64
-	entries  uint64
 	prev     iss.TraceEntry
 	havePrev bool
+
+	// Fold state: advanced by foldChunk (and by consumeEntrySeq).
+	perBlock []float64
+	entries  uint64
 
 	// pl is the predecoded plan of the program being streamed, attached
 	// by RunStreamed; entries are priced from its records. When nil (or
@@ -65,8 +71,11 @@ type StreamEstimator struct {
 	thrIdle   uint32 // toggle threshold of the idle process, fixed per pass
 	totalNets uint64 // Σ nets over all blocks: draws per simulated cycle
 	kernel    Kernel // walker tier, copied from the estimator
-	sched     *schedule
-	forceSeq  bool // tests: pin the sequential reference path
+	// scheds holds the stream's compiled chunks, drawn from schedPool
+	// on first use and returned by Finish: Consume compiles into
+	// scheds[0], RunStreamed's ring into all of them.
+	scheds   [ringSize]*schedule
+	forceSeq bool // tests: pin the sequential reference path
 }
 
 // Stream starts a fresh incremental estimation pass.
@@ -116,40 +125,44 @@ func toggleThreshold(p float64) uint32 {
 	return uint32(p * float64(1<<32-1))
 }
 
-// segRec is one compiled draw segment. The three fields live in a
-// single struct so the chunk compiler's hot append and the clip loop's
-// reads touch one cache line per segment instead of three parallel
-// arrays.
-type segRec struct {
-	thr   uint32 // toggle threshold
-	draws uint32 // number of RNG draws, ≥ 1
-	bk    uint32 // block index << 1, low bit set when idle
-}
-
-// schedule is the reusable per-chunk compilation of trace entries into
-// toggle-draw segments, plus the lane-walk scratch built from them.
-// Buffers are sized by the first chunk, grown only by a wider one, and
-// reused; schedules themselves are pooled (schedPool) across estimation
-// passes, so both Consume in the steady state and fresh
+// schedule is one chunk of trace entries compiled for the walk: its
+// draw segments, laid end to end on the stream's one draw chain, cut
+// into stripes (one per lane) and clipped at the stripe boundaries into
+// lane records, with each stripe's jump-ahead start state. The walk
+// fills the per-segment counts; the fold reads them back entry by
+// entry. Buffers are sized by the first chunk, grown only by a wider
+// one, and reused; schedules themselves are pooled (schedPool) across
+// estimation passes, so both Consume in the steady state and fresh
 // StreamEstimators after warm-up allocate nothing.
 type schedule struct {
-	segs   []segRec // compiled draw segments, in sequential fold order
-	counts []uint32 // per segment: toggle count, filled by the kernel
-	entEnd []int32  // per entry: one-past-last segment index
-	entCyc []uint32 // per entry: charged cycles
-	total  uint64   // chunk draw total
+	recs    []laneRec // clipped draw runs, lane after lane
+	counts  []uint32  // per segment: toggle count, filled by the walk
+	present []uint64  // per entry, words wide: bit bk set per segment emitted
+	entCyc  []uint32  // per entry: charged cycles
+	words   int       // present words per entry
+	total   uint64    // draws compiled
 
-	recs       []laneRec
-	laneEnd    []int32
-	laneStates []uint32
-	walk8      walk8
-	walk16     walk16
-	walk64     walk64
+	// Stripe clipping: lanes stripes of q draws, the last one taking
+	// the rest (last draws); lane is the stripe being filled and left
+	// the room it has.
+	lanes, lane   int
+	q, left, last uint64
+	laneEnd       [maxWalkLanes]int32
+	laneStates    [maxWalkLanes]uint32
+
+	// fault is the pricing failure that ended compilation at faultEntry,
+	// reported by the fold after the entries before it.
+	fault      error
+	faultEntry iss.TraceEntry
+
+	walk8  walk8
+	walk16 walk16
+	walk64 walk64
 }
 
 // schedPool recycles schedule scratch across StreamEstimators. A
 // schedule's buffers follow the widest chunk it has compiled: about
-// 170 KB for a 256-entry streamed batch on the default processor's 12
+// 65 KB for a 256-entry streamed batch on the default processor's 12
 // blocks, four times that after a 1024-entry chunk of a materialized
 // trace. Before pooling, every fresh pass re-allocated them on its
 // first chunk — the BENCH_iss.json reference_streamed alloc regression
@@ -157,23 +170,75 @@ type schedule struct {
 // kernel (PR 5), not the memo engine.
 var schedPool = sync.Pool{New: func() any { return new(schedule) }}
 
-func (sc *schedule) begin(nentries, nblocks int) {
-	// Size for the chunk being compiled — an entry emits at most one
-	// active and one idle segment per block — and only grow: a pooled
-	// schedule keeps the capacity of the largest chunk it has compiled.
-	if segCap := nentries * 2 * nblocks; cap(sc.segs) < segCap {
-		sc.segs = make([]segRec, 0, segCap)
+// begin resets sc to compile up to nentries entries whose draws total
+// draws: one stripe walked as a scalar chain from state st, or lanes
+// stripes starting at the jump-ahead states of st.
+func (sc *schedule) begin(nentries, nblocks, lanes int, st uint32, draws uint64) {
+	// An entry emits one or two segments per block — two only for a
+	// block busy part of a multi-cycle entry, a few per entry in the
+	// registry — so reserve a quarter more than one, and only grow: a
+	// pooled schedule keeps the capacity of the largest chunk it has
+	// compiled.
+	if segCap := nentries * nblocks * 5 / 4; cap(sc.counts) < segCap {
 		sc.counts = make([]uint32, 0, segCap)
 		sc.recs = make([]laneRec, 0, segCap+maxWalkLanes)
 	}
-	if cap(sc.entEnd) < nentries {
-		sc.entEnd = make([]int32, 0, nentries)
+	sc.words = (2*nblocks + 63) / 64
+	if cap(sc.present) < nentries*sc.words {
+		sc.present = make([]uint64, 0, nentries*sc.words)
+	}
+	if cap(sc.entCyc) < nentries {
 		sc.entCyc = make([]uint32, 0, nentries)
 	}
-	sc.segs = sc.segs[:0]
-	sc.entEnd = sc.entEnd[:0]
-	sc.entCyc = sc.entCyc[:0]
-	sc.total = 0
+	sc.recs, sc.counts = sc.recs[:0], sc.counts[:0]
+	sc.present, sc.entCyc = sc.present[:0], sc.entCyc[:0]
+	sc.total, sc.fault = 0, nil
+
+	sc.lanes, sc.lane = lanes, 0
+	sc.q = draws / uint64(lanes)
+	sc.last = draws - sc.q*uint64(lanes-1)
+	sc.left = sc.q
+	if lanes == 1 {
+		sc.left = sc.last
+	}
+	for l := 0; l < lanes; l++ {
+		sc.laneStates[l] = st
+		if l < lanes-1 {
+			st = JumpAhead(st, sc.q)
+		}
+	}
+}
+
+// add appends one segment of d draws under toggle threshold thr,
+// clipped at the stripe boundaries it crosses: at most lanes-1 of a
+// chunk's segments cross one. The pieces share the segment's counts
+// slot, where the walk adds their toggles.
+func (sc *schedule) add(thr, d uint32) {
+	slot := uint32(len(sc.counts))
+	sc.counts = append(sc.counts, 0)
+	sc.total += uint64(d)
+	rem := uint64(d)
+	for rem > sc.left {
+		if sc.left > 0 {
+			sc.recs = append(sc.recs, laneRec{thr: thr, rem: uint32(sc.left), slot: slot})
+			rem -= sc.left
+		}
+		sc.laneEnd[sc.lane] = int32(len(sc.recs))
+		sc.lane++
+		sc.left = sc.q
+		if sc.lane == sc.lanes-1 {
+			sc.left = sc.last
+		}
+	}
+	sc.recs = append(sc.recs, laneRec{thr: thr, rem: uint32(rem), slot: slot})
+	sc.left -= rem
+}
+
+// endLanes closes the stripes that received no records.
+func (sc *schedule) endLanes() {
+	for ; sc.lane < sc.lanes; sc.lane++ {
+		sc.laneEnd[sc.lane] = int32(len(sc.recs))
+	}
 }
 
 // maxWalkLanes sizes width-independent scratch for the widest tier.
@@ -203,13 +268,8 @@ func (s *StreamEstimator) Consume(batch []iss.TraceEntry) error {
 	return nil
 }
 
-// consumeChunk estimates up to one batch worth of entries through the
-// three-phase pipeline: compile the entries into a draw schedule,
-// count toggles with the jump-ahead lane kernel, then fold the counts
-// into energies in the sequential order. Chunks too small or too large
-// for 32-bit lane arithmetic fall back to the sequential reference
-// path, which is bit-identical by construction.
-func (s *StreamEstimator) consumeChunk(chunk []iss.TraceEntry) error {
+// chunkDraws is the chunk's draw total, Σcycles × Σnets.
+func (s *StreamEstimator) chunkDraws(chunk []iss.TraceEntry) uint64 {
 	var sumCyc uint64
 	for i := range chunk {
 		c := uint64(chunk[i].Cycles)
@@ -218,7 +278,22 @@ func (s *StreamEstimator) consumeChunk(chunk []iss.TraceEntry) error {
 		}
 		sumCyc += c
 	}
-	if s.forceSeq || sumCyc*s.totalNets > maxChunkDraws {
+	return sumCyc * s.totalNets
+}
+
+// sequential reports whether a chunk of draws draws takes the scalar
+// reference path instead of compile, walk and fold.
+func (s *StreamEstimator) sequential(draws uint64) bool {
+	return s.forceSeq || draws > maxChunkDraws
+}
+
+// consumeChunk estimates up to one batch worth of entries through its
+// three steps in sequence: compile, walk, fold. Chunks too large for
+// 32-bit lane arithmetic fall back to the sequential reference path,
+// which is bit-identical by construction.
+func (s *StreamEstimator) consumeChunk(chunk []iss.TraceEntry) error {
+	draws := s.chunkDraws(chunk)
+	if s.sequential(draws) {
 		// A wide chunk over the 32-bit draw cap is split, not
 		// sequentialized: only a minimal chunk that still exceeds the
 		// cap (pathological per-entry cycle counts) walks the scalar
@@ -237,40 +312,52 @@ func (s *StreamEstimator) consumeChunk(chunk []iss.TraceEntry) error {
 		}
 		return nil
 	}
+	sc := s.sched(0)
+	s.compile(sc, chunk, draws)
+	sc.walk()
+	return s.fold(sc)
+}
 
-	sc := s.sched
-	if sc == nil {
-		sc = schedPool.Get().(*schedule)
-		s.sched = sc
+// sched returns the stream's i-th schedule, drawn from the pool on
+// first use.
+func (s *StreamEstimator) sched(i int) *schedule {
+	if s.scheds[i] == nil {
+		s.scheds[i] = schedPool.Get().(*schedule)
 	}
-	sc.begin(len(chunk), len(s.e.blocks))
-	var (
-		fault      error
-		faultEntry *iss.TraceEntry
-	)
-	ne := 0
+	return s.scheds[i]
+}
+
+// compile prices chunk, whose draws total draws, into sc: per entry
+// the sequential state (prepEntry), then its draw segments clipped into
+// lane records. It advances the compile state — cycles, switching
+// history, and the RNG, by jumping it over the draws compiled — and
+// touches no fold state. An entry that cannot be priced ends the chunk;
+// sc keeps a copy of it for the fold to report.
+func (s *StreamEstimator) compile(sc *schedule, chunk []iss.TraceEntry, draws uint64) {
+	lanes := 1
+	if draws >= laneMinDraws {
+		lanes = s.kernel.width()
+	}
+	sc.begin(len(chunk), len(s.e.blocks), lanes, s.rng, draws)
 	for i := range chunk {
-		te := &chunk[i]
-		cyc, pAct, err := s.prepEntry(te)
+		cyc, pAct, err := s.prepEntry(&chunk[i])
 		if err != nil {
-			fault, faultEntry = err, te
+			sc.fault, sc.faultEntry = err, chunk[i]
 			break
 		}
 		s.emitSegments(sc, cyc, pAct)
-		ne++
 	}
+	sc.endLanes()
+	s.rng = JumpAhead(s.rng, sc.total)
+}
 
-	if sc.total > 0 {
-		if sc.total >= laneMinDraws {
-			s.countChunkLanes(sc)
-		} else {
-			s.countChunkSeq(sc)
-		}
-	}
-	s.foldChunk(sc, ne)
-
-	if fault != nil {
-		return s.wrapEntryFault(faultEntry, s.entries, fault)
+// fold folds sc's walked counts into the estimate (foldChunk), then
+// reports the pricing fault that ended its compilation, if any, with
+// the faulting entry's global trace index.
+func (s *StreamEstimator) fold(sc *schedule) error {
+	s.foldChunk(sc)
+	if sc.fault != nil {
+		return s.wrapEntryFault(&sc.faultEntry, s.entries, sc.fault)
 	}
 	return nil
 }
@@ -422,145 +509,65 @@ func (s *StreamEstimator) prepEntry(te *iss.TraceEntry) (cyc int, pAct float64, 
 
 // emitSegments compiles one prepped entry into draw segments, in the
 // exact block and active-before-idle order the sequential path
-// simulates them.
+// simulates them, and marks each segment's block and phase (bk: block
+// index << 1, low bit set when idle) in the entry's present bits.
 //
 //xtenergy:hotpath
 func (s *StreamEstimator) emitSegments(sc *schedule, cyc int, pAct float64) {
 	thrA := toggleThreshold(pAct)
 	thrI := s.thrIdle
-	segs := sc.segs
-	total := sc.total
 	activity := s.activity
 	blocks := s.e.blocks
+	n := len(sc.present)
+	for w := 0; w < sc.words; w++ {
+		sc.present = append(sc.present, 0)
+	}
+	present := sc.present[n:]
 	for bi := range blocks {
 		nets := blocks[bi].nets
 		act := activity[bi]
 		if act > cyc {
 			act = cyc
 		}
+		bk := uint(bi) << 1
 		if act > 0 {
-			d := uint32(act * nets)
-			segs = append(segs, segRec{thr: thrA, draws: d, bk: uint32(bi) << 1})
-			total += uint64(d)
+			sc.add(thrA, uint32(act*nets))
+			present[bk>>6] |= 1 << (bk & 63)
 		}
 		if idle := cyc - act; idle > 0 {
-			d := uint32(idle * nets)
-			segs = append(segs, segRec{thr: thrI, draws: d, bk: uint32(bi)<<1 | 1})
-			total += uint64(d)
+			sc.add(thrI, uint32(idle*nets))
+			bk |= 1
+			present[bk>>6] |= 1 << (bk & 63)
 		}
 	}
-	sc.segs = segs
-	sc.total = total
-	sc.entEnd = append(sc.entEnd, int32(len(segs)))
 	sc.entCyc = append(sc.entCyc, uint32(cyc))
 }
 
-// countChunkSeq counts a small chunk's schedule with the plain scalar
-// chain — the same walk simulateNets performs, minus the float fold.
+// walk counts the toggles of every segment of sc into its counts slot:
+// one scalar chain for a single-stripe chunk, the lane kernel of the
+// chunk's width otherwise. It reads and writes nothing but sc, so
+// either of RunStreamed's goroutines may run it.
 //
 //xtenergy:hotpath
-func (s *StreamEstimator) countChunkSeq(sc *schedule) {
-	st := s.rng
-	sc.counts = sc.counts[:len(sc.segs)]
-	for i := range sc.segs {
-		thr := sc.segs[i].thr
-		n := sc.segs[i].draws
-		c := uint32(0)
-		for k := uint32(0); k < n; k++ {
-			st ^= st << 13
-			st ^= st >> 17
-			st ^= st << 5
-			if st < thr {
-				c++
-			}
-		}
-		sc.counts[i] = c
+func (sc *schedule) walk() {
+	if sc.total == 0 {
+		return
 	}
-	s.rng = st
-}
-
-// countChunkLanes counts the chunk's schedule with the jump-ahead lane
-// kernel of the stream's tier: the draw chain is cut into equal
-// stripes (one per lane of the tier's width), segments are clipped at
-// stripe boundaries into lane records, and each stripe's start state
-// comes from JumpAhead. Counts land in the same per-segment slots the
-// sequential walk fills, additively for boundary-split segments, so
-// the totals are identical integers whatever the tier's lane count.
-//
-//xtenergy:hotpath
-func (s *StreamEstimator) countChunkLanes(sc *schedule) {
-	lanes := s.kernel.width()
-	nseg := len(sc.segs)
-	sc.counts = sc.counts[:nseg]
-	for i := range sc.counts {
-		sc.counts[i] = 0
-	}
-	q := sc.total / uint64(lanes)
-
-	// Clip segments into per-lane record runs: lanes 0..lanes-2 own q
-	// draws each, the last lane owns the remainder. Indexed writes into
-	// presized buffers, with a fast path for the common segment that
-	// fits entirely inside the current stripe — at most lanes-1 of the
-	// chunk's segments cross a boundary.
-	if need := nseg + lanes; cap(sc.recs) < need {
-		sc.recs = make([]laneRec, need)
-	}
-	if cap(sc.laneEnd) < lanes {
-		sc.laneEnd = make([]int32, lanes)
-		sc.laneStates = make([]uint32, 0, lanes)
-	}
-	recs := sc.recs[:cap(sc.recs)]
-	laneEnd := sc.laneEnd[:lanes]
-	segs := sc.segs
-	nr := 0
-	lane := 0
-	left := q
-	for i := 0; i < nseg; i++ {
-		rem := uint64(segs[i].draws)
-		if rem <= left {
-			recs[nr] = laneRec{thr: segs[i].thr, rem: uint32(rem), slot: uint32(i)}
-			nr++
-			left -= rem
-			continue
-		}
-		for rem > 0 {
-			if left == 0 {
-				laneEnd[lane] = int32(nr)
-				lane++
-				left = q
-				if lane == lanes-1 {
-					left = sc.total // the last lane takes all the rest
+	switch sc.lanes {
+	case 1:
+		st := sc.laneStates[0]
+		for _, r := range sc.recs {
+			c := uint32(0)
+			for k := uint32(0); k < r.rem; k++ {
+				st ^= st << 13
+				st ^= st >> 17
+				st ^= st << 5
+				if st < r.thr {
+					c++
 				}
 			}
-			take := rem
-			if take > left {
-				take = left
-			}
-			recs[nr] = laneRec{thr: segs[i].thr, rem: uint32(take), slot: uint32(i)}
-			nr++
-			rem -= take
-			left -= take
+			sc.counts[r.slot] += c
 		}
-	}
-	for ; lane < lanes; lane++ {
-		laneEnd[lane] = int32(nr)
-	}
-	sc.recs, sc.laneEnd = recs[:nr], laneEnd
-
-	// Exact lane start states via jump-ahead, and the chunk's exit
-	// state for chain continuity into the next chunk.
-	states := sc.laneStates[:0]
-	st := s.rng
-	for l := 0; l < lanes; l++ {
-		states = append(states, st)
-		if l < lanes-1 {
-			st = JumpAhead(st, q)
-		}
-	}
-	sc.laneStates = states
-	s.rng = JumpAhead(s.rng, sc.total)
-
-	switch lanes {
 	case 64:
 		w := &sc.walk64
 		w.recs, w.counts = sc.recs, sc.counts
@@ -594,28 +601,31 @@ func (sc *schedule) fillLanes(off, cnt, st []uint32) {
 
 // foldChunk turns toggle counts into energies, replaying the float
 // operations in the sequential order: per entry, per block, active
-// then idle, each count scaled and added to the block and entry
-// accumulators exactly as the sequential path does. Each product is
-// rounded by float64(...) before it is added, so arm64 cannot fuse it
-// into a multiply-add.
+// then idle — ascending bk, the order of the entry's present bits —
+// each count scaled and added to the block and entry accumulators
+// exactly as the sequential path does. Each product is rounded by
+// float64(...) before it is added, so arm64 cannot fuse it into a
+// multiply-add.
 //
 //xtenergy:hotpath
-func (s *StreamEstimator) foldChunk(sc *schedule, ne int) {
+func (s *StreamEstimator) foldChunk(sc *schedule) {
 	blocks := s.e.blocks
 	perBlock := s.perBlock
-	segs, counts := sc.segs, sc.counts
+	counts := sc.counts
 	si := 0
-	for i := 0; i < ne; i++ {
-		last := int(sc.entEnd[i])
+	for i, cyc := range sc.entCyc {
 		var entryPJ float64
-		for ; si < last; si++ {
-			bk := segs[si].bk
-			pj := float64(float64(counts[si]) * blocks[bk>>1].pjNet[bk&1])
-			perBlock[bk>>1] += pj
-			entryPJ += pj
+		for w, m := range sc.present[i*sc.words : (i+1)*sc.words] {
+			for ; m != 0; m &= m - 1 {
+				bk := w<<6 | bits.TrailingZeros64(m)
+				pj := float64(float64(counts[si]) * blocks[bk>>1].pjNet[bk&1])
+				perBlock[bk>>1] += pj
+				entryPJ += pj
+				si++
+			}
 		}
 		if s.OnEntry != nil {
-			s.OnEntry(int(s.entries), uint64(sc.entCyc[i]), entryPJ)
+			s.OnEntry(int(s.entries), uint64(cyc), entryPJ)
 		}
 		s.entries++
 	}
@@ -685,9 +695,11 @@ func (s *StreamEstimator) simulateNets(nets, cycles int, p float64) float64 {
 
 // Finish closes the pass and returns the accumulated report.
 func (s *StreamEstimator) Finish() (Report, error) {
-	if s.sched != nil {
-		schedPool.Put(s.sched)
-		s.sched = nil
+	for i, sc := range s.scheds {
+		if sc != nil {
+			schedPool.Put(sc)
+			s.scheds[i] = nil
+		}
 	}
 	if s.entries == 0 {
 		return Report{}, errors.New("rtlpower: empty trace (was the ISS run with a TraceSink?)")
@@ -699,14 +711,15 @@ func (s *StreamEstimator) Finish() (Report, error) {
 	return Report{TotalPJ: total, PerBlockPJ: s.perBlock, Cycles: s.cycles}, nil
 }
 
-// streamBatchBuffers bounds the number of trace batches in flight
-// between the simulator and the estimator in RunStreamed. Memory is
-// therefore capped at streamBatchBuffers*iss.TraceBatchSize entries per
-// run, independent of how many instructions retire.
-const streamBatchBuffers = 4
+// ringSize is the number of chunks RunStreamed keeps in flight for a
+// StreamEstimator: the simulator's goroutine compiles into one slot
+// while the two goroutines walk the two before it. Fewer slots leave a
+// goroutine idle more often; more hold more schedules (each about
+// 65 KB on the default processor) for little more overlap.
+const ringSize = 3
 
 // errStreamAborted is returned to the simulator's TraceSink once the
-// consumer has failed, so the run stops instead of simulating on.
+// stream has failed, so the run stops instead of simulating on.
 var errStreamAborted = errors.New("rtlpower: stream estimator failed; aborting simulation")
 
 // Consumer receives the execution trace batch by batch in retirement
@@ -718,86 +731,331 @@ type Consumer interface {
 	Consume(batch []iss.TraceEntry) error
 }
 
+// panicFault is the typed fault a panic recovered from a consumer, or
+// from a stream's compile, walk or fold, becomes.
+func panicFault(p any) error {
+	return &iss.Fault{Kind: iss.FaultPanic, PC: -1, Msg: fmt.Sprintf("trace consumer panicked: %v", p)}
+}
+
 // safeConsume delivers one batch, recovering a panicking consumer into
 // a typed fault so a broken (or chaos-sabotaged) estimator cannot tear
 // down the process.
 func safeConsume(c Consumer, batch []iss.TraceEntry) (err error) {
 	defer func() {
-		if r := recover(); r != nil {
-			err = &iss.Fault{Kind: iss.FaultPanic, PC: -1, Msg: fmt.Sprintf("trace consumer panicked: %v", r)}
+		if p := recover(); p != nil {
+			err = panicFault(p)
 		}
 	}()
 	return c.Consume(batch)
 }
 
+// Walk claims: which goroutine walks a slot's schedule.
+const (
+	walkOpen     = iota // compiled, not yet claimed
+	walkConsumer        // the consumer goroutine's, or nothing to walk
+	walkSim             // the simulator's goroutine's; it signals walked
+)
+
+// slot is one chunk in flight through RunStreamed's ring.
+type slot struct {
+	idx    int              // position in the ring
+	sc     *schedule        // a StreamEstimator's chunk, compiled
+	batch  []iss.TraceEntry // another Consumer's batch, copied
+	claim  atomic.Int32     // walkOpen until a goroutine claims the walk
+	walked chan struct{}
+	// err is a failure met before the fold — a panic while compiling or
+	// walking — reported in trace order by the consumer goroutine.
+	err error
+}
+
+// walk walks sl's schedule for the goroutine that claimed it,
+// recovering a panic into sl.err.
+func (sl *slot) walk() {
+	defer func() {
+		if p := recover(); p != nil {
+			sl.err = panicFault(p)
+		}
+	}()
+	sl.sc.walk()
+}
+
+// ring carries one RunStreamed run's chunks from the simulator's
+// goroutine, which compiles each retired batch into a free slot, to the
+// consumer goroutine, which folds the slots in order. Each compiled
+// slot is walked once, by whichever goroutine claims it first: the
+// simulator, when it finds no free slot, claims the newest; the
+// consumer claims the oldest, and walks later slots while the
+// simulator walks the one it must fold next. For a Consumer other than
+// a *StreamEstimator, compiling is copying the batch, there is no walk,
+// and folding is Consume, so such a consumer sees in-order Consume
+// calls on one goroutine.
+type ring struct {
+	c     Consumer
+	st    *StreamEstimator // c, when it is one
+	slots [ringSize]slot
+	next  int        // simulator: the slot after the last one filled
+	free  chan *slot // slots the consumer has settled, in ring order
+	ready chan *slot // slots filled and not yet settled, in trace order
+	done  chan struct{}
+
+	failed     atomic.Bool // set once the consumer goroutine has failed
+	consumeErr error       // consumer goroutine's first failure
+	serialErr  error       // simulator's failure on a sequential chunk
+}
+
+func newRing(c Consumer) *ring {
+	r := &ring{
+		c: c,
+		// Both channels hold every slot, so neither side's send blocks.
+		free:  make(chan *slot, ringSize),
+		ready: make(chan *slot, ringSize),
+		done:  make(chan struct{}),
+	}
+	r.st, _ = c.(*StreamEstimator)
+	for i := range r.slots {
+		sl := &r.slots[i]
+		sl.idx = i
+		sl.claim.Store(walkConsumer) // nothing to walk until compiled
+		if r.st != nil {
+			sl.walked = make(chan struct{}, 1)
+		}
+		r.free <- sl
+	}
+	return r
+}
+
+// sink is the simulator's TraceSink: it compiles batch into a free
+// slot and hands the slot to the consumer goroutine.
+func (r *ring) sink(ctx context.Context, batch []iss.TraceEntry) error {
+	if r.failed.Load() {
+		return errStreamAborted
+	}
+	var draws uint64
+	if r.st != nil {
+		draws = r.st.chunkDraws(batch)
+		if r.st.sequential(draws) {
+			return r.sequential(ctx, batch)
+		}
+	}
+	sl, err := r.acquire(ctx)
+	if err != nil {
+		return err
+	}
+	ok := r.fill(sl, batch, draws)
+	r.ready <- sl
+	if !ok {
+		return errStreamAborted
+	}
+	return nil
+}
+
+// acquire returns the next free slot. While none is free it walks
+// compiled slots nobody has claimed yet, and waits only when there is
+// none; a cancelled run stops the wait.
+func (r *ring) acquire(ctx context.Context) (*slot, error) {
+	for {
+		select {
+		case sl := <-r.free:
+			r.next = (sl.idx + 1) % ringSize
+			return sl, nil
+		default:
+		}
+		if r.help() {
+			continue
+		}
+		select {
+		case sl := <-r.free:
+			r.next = (sl.idx + 1) % ringSize
+			return sl, nil
+		case <-ctx.Done():
+			return nil, cancelledFault(ctx)
+		}
+	}
+}
+
+// cancelledFault is the typed fault of a run whose context ended while
+// the sink waited for the consumer.
+func cancelledFault(ctx context.Context) error {
+	return &iss.Fault{Kind: iss.FaultCancelled, PC: -1, Msg: "trace stream stalled or cancelled", Err: ctx.Err()}
+}
+
+// help claims the newest compiled slot no goroutine has claimed — the
+// one the consumer folds last — and walks it on the simulator's
+// goroutine. It reports whether there was such a slot.
+func (r *ring) help() bool {
+	for i := ringSize - 1; i >= 0; i-- {
+		sl := &r.slots[(r.next+i)%ringSize]
+		if sl.claim.CompareAndSwap(walkOpen, walkSim) {
+			sl.walk()
+			sl.walked <- struct{}{}
+			return true
+		}
+	}
+	return false
+}
+
+// fill compiles batch, of draws draws, into sl on the simulator's
+// goroutine. It reports false when the stream cannot go past this
+// batch: an entry could not be priced, or compiling panicked. The slot
+// then carries the failure to the consumer goroutine.
+func (r *ring) fill(sl *slot, batch []iss.TraceEntry, draws uint64) (ok bool) {
+	if r.st == nil {
+		if sl.batch == nil {
+			sl.batch = make([]iss.TraceEntry, 0, iss.TraceBatchSize)
+		}
+		sl.batch = append(sl.batch[:0], batch...)
+		return true
+	}
+	sl.err = nil
+	sl.sc = r.st.sched(sl.idx)
+	claim := int32(walkConsumer)
+	defer func() {
+		if p := recover(); p != nil {
+			sl.err, claim, ok = panicFault(p), walkConsumer, false
+		}
+		sl.claim.Store(claim) // publishes the schedule to a claiming walker
+	}()
+	r.st.compile(sl.sc, batch, draws)
+	if sl.sc.total > 0 {
+		claim = walkOpen
+	}
+	return sl.sc.fault == nil
+}
+
+// consume is the consumer goroutine: it settles every slot in trace
+// order, and once one has failed drops the rest, so the simulator never
+// waits on a dead consumer.
+func (r *ring) consume() {
+	defer close(r.done)
+	for sl := range r.ready {
+		if err := r.settle(sl, r.consumeErr == nil); err != nil {
+			r.consumeErr = err
+			r.failed.Store(true)
+		}
+		r.free <- sl
+	}
+}
+
+// settle makes sure sl is walked — by claiming the walk, or by waiting
+// for the simulator's goroutine to finish it — then folds it. A
+// dropped slot (live false) is claimed or waited for but neither walked
+// nor folded, so no walk of it is left running once it is free.
+func (r *ring) settle(sl *slot, live bool) (err error) {
+	if sl.claim.CompareAndSwap(walkOpen, walkConsumer) {
+		if live {
+			sl.walk()
+		}
+	} else if sl.claim.Load() == walkSim {
+		r.await(sl, live)
+	}
+	if !live {
+		return nil
+	}
+	if sl.err != nil {
+		return sl.err
+	}
+	defer func() {
+		if p := recover(); p != nil {
+			err = panicFault(p)
+		}
+	}()
+	if r.st == nil {
+		return r.c.Consume(sl.batch)
+	}
+	return r.st.fold(sl.sc)
+}
+
+// await waits for the simulator's goroutine to finish walking sl.
+// Meanwhile a live consumer walks the later slots nobody has claimed,
+// oldest first.
+func (r *ring) await(sl *slot, live bool) {
+	for live {
+		select {
+		case <-sl.walked:
+			return
+		default:
+		}
+		if !r.walkAfter(sl) {
+			break
+		}
+	}
+	<-sl.walked
+}
+
+// walkAfter claims the oldest compiled slot after sl that no goroutine
+// has claimed and walks it on the consumer goroutine. It reports
+// whether there was such a slot.
+func (r *ring) walkAfter(sl *slot) bool {
+	for i := 1; i < ringSize; i++ {
+		if later := &r.slots[(sl.idx+i)%ringSize]; later.claim.CompareAndSwap(walkOpen, walkConsumer) {
+			later.walk()
+			return true
+		}
+	}
+	return false
+}
+
+// sequential runs a chunk outside the lane walk's envelope on the
+// simulator's goroutine, through Consume's sequential path, once the
+// consumer has settled every slot in flight: the simulator then owns
+// both the compile and the fold state.
+func (r *ring) sequential(ctx context.Context, batch []iss.TraceEntry) error {
+	var held [ringSize]*slot
+	for i := range held {
+		select {
+		case held[i] = <-r.free:
+		case <-ctx.Done():
+			return cancelledFault(ctx)
+		}
+	}
+	defer func() {
+		for _, sl := range held {
+			r.free <- sl
+		}
+	}()
+	if r.failed.Load() {
+		return errStreamAborted
+	}
+	if err := safeConsume(r.st, batch); err != nil {
+		r.serialErr = err
+		return errStreamAborted
+	}
+	return nil
+}
+
 // RunStreamed executes prog on sim while c (usually a *StreamEstimator)
-// estimates it concurrently: the simulator's TraceSink copies each
-// retired batch into one of a fixed ring of buffers and hands it to a
-// consumer goroutine over a bounded channel, so simulation overlaps
-// with per-net estimation and the trace is never materialized. Batch
-// boundaries do not affect the estimate, so the result is deterministic
-// and bit-identical to EstimateTrace on the same run. Any TraceSink
-// already in opts is overridden. The caller still owns the consumer
-// and, for a StreamEstimator, must call Finish.
+// estimates it concurrently, on one goroutine besides the caller's, and
+// the trace is never materialized. For a StreamEstimator, the
+// simulator's TraceSink compiles each retired batch into the next free
+// slot of a ring of ringSize schedules, the consumer goroutine folds
+// the slots strictly in trace order, and each slot is walked once, by
+// whichever goroutine claims it first. Chunk boundaries and the
+// goroutine a walk runs on do not affect the estimate, so the result is
+// deterministic and bit-identical to EstimateTrace on the same run. Any
+// TraceSink already in opts is overridden. The caller still owns the
+// consumer and, for a StreamEstimator, must call Finish.
 //
 // Cancelling ctx aborts the run within one batch boundary with a
 // FaultCancelled fault (the simulator polls the context, and a sink
-// blocked on a stalled consumer unblocks on ctx.Done). The consumer
-// goroutine and both channels are always drained before RunStreamed
-// returns — cancellation leaks nothing.
+// waiting on a stalled consumer unblocks on ctx.Done). Every slot is
+// settled or dropped and the consumer goroutine has exited before
+// RunStreamed returns — cancellation leaks nothing. Under an already
+// cancelled ctx no instruction retires: RunStreamed only attaches the
+// program's plan to a StreamEstimator, which stays ready for Consume.
 func RunStreamed(ctx context.Context, sim *iss.Simulator, prog *iss.Program, opts iss.Options, c Consumer) (*iss.Result, error) {
-	if st, ok := c.(*StreamEstimator); ok && st.pl == nil {
-		st.pl = prog.Plan(st.e.proc.TIE)
+	r := newRing(c)
+	if r.st != nil && r.st.pl == nil {
+		r.st.pl = prog.Plan(r.st.e.proc.TIE)
 	}
-	free := make(chan []iss.TraceEntry, streamBatchBuffers)
-	for i := 0; i < streamBatchBuffers; i++ {
-		free <- make([]iss.TraceEntry, 0, iss.TraceBatchSize)
-	}
-	work := make(chan []iss.TraceEntry, streamBatchBuffers)
-
-	var (
-		consumeErr error
-		failed     atomic.Bool
-		done       = make(chan struct{})
-	)
-	go func() {
-		defer close(done)
-		for b := range work {
-			if consumeErr == nil {
-				if err := safeConsume(c, b); err != nil {
-					consumeErr = err
-					failed.Store(true)
-				}
-			}
-			free <- b[:0]
-		}
-	}()
-
-	opts.TraceSink = func(batch []iss.TraceEntry) error {
-		if failed.Load() {
-			return errStreamAborted
-		}
-		select {
-		case buf := <-free:
-			// work is as deep as the buffer ring, so this send never
-			// blocks.
-			work <- append(buf, batch...)
-			return nil
-		case <-ctx.Done():
-			// The consumer is stalled (all buffers in flight) and the
-			// run's deadline expired, or the run was cancelled: abort
-			// at this batch boundary instead of waiting forever.
-			return &iss.Fault{Kind: iss.FaultCancelled, PC: -1, Msg: "trace stream stalled or cancelled", Err: ctx.Err()}
-		}
-	}
+	go r.consume()
+	opts.TraceSink = func(batch []iss.TraceEntry) error { return r.sink(ctx, batch) }
 	res, runErr := sim.RunContext(ctx, prog, opts)
-	close(work)
-	<-done
-	if consumeErr != nil {
-		return nil, consumeErr
-	}
-	if runErr != nil {
-		return nil, runErr
+	close(r.ready)
+	<-r.done
+	for _, err := range []error{r.consumeErr, r.serialErr, runErr} {
+		if err != nil {
+			return nil, err
+		}
 	}
 	return res, nil
 }

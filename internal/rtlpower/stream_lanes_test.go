@@ -1,13 +1,17 @@
 package rtlpower
 
 import (
+	"context"
 	"errors"
+	"fmt"
 	"testing"
 
 	"xtenergy/internal/asm"
+	"xtenergy/internal/hwlib"
 	"xtenergy/internal/isa"
 	"xtenergy/internal/iss"
 	"xtenergy/internal/procgen"
+	"xtenergy/internal/tie"
 )
 
 // mixedSrc exercises every structural block class — loads, stores,
@@ -133,8 +137,54 @@ func compareStreamRun(t *testing.T, gotRep, wantRep Report, gotRecs, wantRecs []
 // TestStreamFaultCarriesTraceIndex pins the typed entry-level fault:
 // an estimation failure mid-batch surfaces as an iss.Fault naming the
 // faulting entry's global trace index and PC, with every entry before
-// it fully folded — on both the chunked and the sequential paths.
+// it fully folded — on the chunked and the sequential Consume paths,
+// and on RunStreamed's pipelined path, where the entry is compiled on
+// the simulator's goroutine and reported by the fold.
 func TestStreamFaultCarriesTraceIndex(t *testing.T) {
+	// check requires err to be the fault of entry idx at pc, with the
+	// entries before it folded in order.
+	check := func(label string, err error, folded, idx int, pc int32) {
+		t.Helper()
+		if err == nil {
+			t.Fatalf("%s: an unpriceable entry was accepted", label)
+		}
+		var f *iss.Fault
+		if !errors.As(err, &f) {
+			t.Fatalf("%s: error %v is not an iss.Fault", label, err)
+		}
+		if f.Kind != iss.FaultIllegalInstr {
+			t.Errorf("%s: fault kind %v, want FaultIllegalInstr", label, f.Kind)
+		}
+		if f.PC != int(pc) {
+			t.Errorf("%s: fault PC %d, want %d", label, f.PC, pc)
+		}
+		if want := fmt.Sprintf("stream estimator: trace entry %d", idx); f.Msg != want {
+			t.Errorf("%s: fault msg %q, want %q", label, f.Msg, want)
+		}
+		if f.Err == nil {
+			t.Errorf("%s: fault has no cause", label)
+		}
+		if folded != idx {
+			t.Errorf("%s: %d entries folded before the fault, want %d", label, folded, idx)
+		}
+	}
+	// stream returns a fresh stream for proc whose OnEntry counts the
+	// entries folded, in order.
+	stream := func(label string, proc *procgen.Processor, folded *int) *StreamEstimator {
+		e, err := New(proc, FastTechnology())
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := e.Stream()
+		st.OnEntry = func(idx int, _ uint64, _ float64) {
+			if idx != *folded {
+				t.Errorf("%s: OnEntry idx %d, want %d", label, idx, *folded)
+			}
+			*folded++
+		}
+		return st
+	}
+
 	proc, err := procgen.Generate(procgen.Default(), nil)
 	if err != nil {
 		t.Fatal(err)
@@ -162,43 +212,60 @@ loop:
 	trace[badIdx].Instr = isa.Instr{Op: isa.OpCUSTOM, CustomID: 63}
 
 	for _, seq := range []bool{false, true} {
-		e, err := New(proc, FastTechnology())
-		if err != nil {
-			t.Fatal(err)
-		}
-		st := e.Stream()
-		st.forceSeq = seq
+		label := fmt.Sprintf("seq=%v", seq)
 		folded := 0
-		st.OnEntry = func(idx int, _ uint64, _ float64) {
-			if idx != folded {
-				t.Fatalf("seq=%v: OnEntry idx %d, want %d", seq, idx, folded)
-			}
-			folded++
-		}
-		consumeErr := st.Consume(trace)
-		if consumeErr == nil {
-			t.Fatalf("seq=%v: Consume accepted an undefined custom opcode", seq)
-		}
-		var f *iss.Fault
-		if !errors.As(consumeErr, &f) {
-			t.Fatalf("seq=%v: error %v is not an iss.Fault", seq, consumeErr)
-		}
-		if f.Kind != iss.FaultIllegalInstr {
-			t.Errorf("seq=%v: fault kind %v, want FaultIllegalInstr", seq, f.Kind)
-		}
-		if f.PC != int(trace[badIdx].PC) {
-			t.Errorf("seq=%v: fault PC %d, want %d", seq, f.PC, trace[badIdx].PC)
-		}
-		if want := "stream estimator: trace entry 100"; f.Msg != want {
-			t.Errorf("seq=%v: fault msg %q, want %q", seq, f.Msg, want)
-		}
-		if f.Err == nil {
-			t.Errorf("seq=%v: fault has no cause", seq)
-		}
-		if folded != badIdx {
-			t.Errorf("seq=%v: %d entries folded before the fault, want %d", seq, folded, badIdx)
+		st := stream(label, proc, &folded)
+		st.forceSeq = seq
+		check(label, st.Consume(trace), folded, badIdx, trace[badIdx].PC)
+	}
+
+	// The pipelined path needs the ISS to retire the unpriceable entry:
+	// a processor with an extension runs the program, and an estimator
+	// for the same processor without it prices the run, several
+	// batches in.
+	ext := &tie.Extension{
+		Name: "e",
+		Instructions: []*tie.Instruction{{
+			Name: "half", Latency: 1, ReadsGeneral: true, WritesGeneral: true,
+			Datapath: []tie.DatapathElem{{
+				Component: hwlib.Component{Name: "sh", Cat: hwlib.Shifter, Width: 32},
+			}},
+			Semantics: func(_ *tie.State, op tie.Operands) uint32 { return op.RsVal >> 1 },
+		}},
+	}
+	procExt, err := procgen.Generate(procgen.Default(), ext)
+	if err != nil {
+		t.Fatal(err)
+	}
+	progExt, err := asm.New(procExt.TIE).Assemble("t", `
+    movi a2, 300
+    movi a3, 17
+loop:
+    add a4, a3, a2
+    addi a2, a2, -1
+    bnez a2, loop
+    half a3, a3, a2
+    ret
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	extTrace, _ := RecordTrace(t, procExt, progExt)
+	extIdx := -1
+	for i := range extTrace {
+		if extTrace[i].Instr.IsCustom() {
+			extIdx = i
+			break
 		}
 	}
+	if extIdx < 2*iss.TraceBatchSize {
+		t.Fatalf("first custom entry at %d, want it past the second batch", extIdx)
+	}
+	folded := 0
+	check("serial", stream("serial", proc, &folded).Consume(extTrace), folded, extIdx, extTrace[extIdx].PC)
+	folded = 0
+	_, err = RunStreamed(context.Background(), iss.New(procExt), progExt, iss.Options{}, stream("pipelined", proc, &folded))
+	check("pipelined", err, folded, extIdx, extTrace[extIdx].PC)
 }
 
 // TestScheduleSizedToChunk pins the schedule scratch to the chunk being
@@ -220,17 +287,17 @@ func TestScheduleSizedToChunk(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := e.Stream()
-	st.sched = new(schedule) // not a pooled one sized by an earlier, wider chunk
+	st.scheds[0] = new(schedule) // not a pooled one sized by an earlier, wider chunk
 	if err := st.Consume(trace[:iss.TraceBatchSize]); err != nil {
 		t.Fatal(err)
 	}
-	sc := st.sched
+	sc := st.scheds[0]
 	limit := iss.TraceBatchSize * 2 * len(e.blocks)
-	if cap(sc.segs) > limit || cap(sc.counts) > limit || cap(sc.recs) > limit+maxWalkLanes {
-		t.Errorf("schedule capacity segs %d, counts %d, recs %d after a %d-entry chunk; want <= %d (+%d recs)",
-			cap(sc.segs), cap(sc.counts), cap(sc.recs), iss.TraceBatchSize, limit, maxWalkLanes)
+	if cap(sc.counts) > limit || cap(sc.recs) > limit+maxWalkLanes {
+		t.Errorf("schedule capacity counts %d, recs %d after a %d-entry chunk; want <= %d (+%d recs)",
+			cap(sc.counts), cap(sc.recs), iss.TraceBatchSize, limit, maxWalkLanes)
 	}
-	if cap(sc.entEnd) > iss.TraceBatchSize || cap(sc.entCyc) > iss.TraceBatchSize {
-		t.Errorf("per-entry capacity %d/%d; want <= %d", cap(sc.entEnd), cap(sc.entCyc), iss.TraceBatchSize)
+	if cap(sc.present) > iss.TraceBatchSize*sc.words || cap(sc.entCyc) > iss.TraceBatchSize {
+		t.Errorf("per-entry capacity %d/%d; want <= %d", cap(sc.present)/sc.words, cap(sc.entCyc), iss.TraceBatchSize)
 	}
 }
