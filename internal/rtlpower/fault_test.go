@@ -94,7 +94,7 @@ func (c *cancellingConsumer) Consume(batch []iss.TraceEntry) error {
 // TestRunStreamedCancelMidStream cancels the context from inside the
 // consumer mid-run: the run must surface a cancelled fault wrapping
 // context.Canceled within a batch boundary, and the pipeline must not
-// leak its goroutine or deadlock on the bounded channels.
+// leak its goroutine or deadlock on the ring.
 func TestRunStreamedCancelMidStream(t *testing.T) {
 	proc, prog := buildLong(t)
 	base := runtime.NumGoroutine()

@@ -33,8 +33,8 @@ func (k Kernel) String() string {
 }
 
 // width is the tier's lane count: how many stripes the draw chain is
-// cut into per walk. The jump-ahead clipping in countChunkLanes adapts
-// to it, so every tier stays bit-identical to the sequential oracle.
+// cut into per walk. The jump-ahead clipping in compile adapts to it,
+// so every tier stays bit-identical to the sequential oracle.
 func (k Kernel) width() int {
 	switch k {
 	case KernelAVX2:

@@ -277,8 +277,8 @@ func compareCounts(t *testing.T, impl string, trial int, want, got []uint32) {
 type testSeg struct{ thr, draws uint32 }
 
 // compileSegs clips segs, laid end to end on the draw chain from state
-// st, into a schedule of lanes stripes, as compile does with an entry's
-// segments.
+// st, into a schedule of lanes stripes, as compile does with an entry
+// that crosses stripe boundaries.
 func compileSegs(segs []testSeg, lanes int, st uint32) *schedule {
 	var total uint64
 	for _, g := range segs {
@@ -286,10 +286,13 @@ func compileSegs(segs []testSeg, lanes int, st uint32) *schedule {
 	}
 	sc := &schedule{}
 	sc.begin(1, len(segs), lanes, st, total)
-	for _, g := range segs {
-		sc.add(g.thr, g.draws)
+	for i, g := range segs {
+		sc.recs = append(sc.recs, laneRec{thr: g.thr, rem: g.draws, slot: uint32(i)})
 	}
-	sc.endLanes()
+	sc.nseg = len(segs)
+	sc.clipFrom(0)
+	sc.total = total
+	sc.end()
 	return sc
 }
 

@@ -137,9 +137,10 @@ func toggleThreshold(p float64) uint32 {
 type schedule struct {
 	recs    []laneRec // clipped draw runs, lane after lane
 	counts  []uint32  // per segment: toggle count, filled by the walk
-	present []uint64  // per entry, words wide: bit bk set per segment emitted
+	present []uint64  // per entry, words wide: which (block, phase) segments it emitted
 	entCyc  []uint32  // per entry: charged cycles
 	words   int       // present words per entry
+	nseg    int       // segments compiled
 	total   uint64    // draws compiled
 
 	// Stripe clipping: lanes stripes of q draws, the last one taking
@@ -183,16 +184,15 @@ func (sc *schedule) begin(nentries, nblocks, lanes int, st uint32, draws uint64)
 		sc.counts = make([]uint32, 0, segCap)
 		sc.recs = make([]laneRec, 0, segCap+maxWalkLanes)
 	}
-	sc.words = (2*nblocks + 63) / 64
+	sc.words = (nblocks + 31) / 32
 	if cap(sc.present) < nentries*sc.words {
 		sc.present = make([]uint64, 0, nentries*sc.words)
 	}
 	if cap(sc.entCyc) < nentries {
 		sc.entCyc = make([]uint32, 0, nentries)
 	}
-	sc.recs, sc.counts = sc.recs[:0], sc.counts[:0]
-	sc.present, sc.entCyc = sc.present[:0], sc.entCyc[:0]
-	sc.total, sc.fault = 0, nil
+	sc.recs, sc.present, sc.entCyc = sc.recs[:0], sc.present[:0], sc.entCyc[:0]
+	sc.nseg, sc.total, sc.fault = 0, 0, nil
 
 	sc.lanes, sc.lane = lanes, 0
 	sc.q = draws / uint64(lanes)
@@ -209,36 +209,41 @@ func (sc *schedule) begin(nentries, nblocks, lanes int, st uint32, draws uint64)
 	}
 }
 
-// add appends one segment of d draws under toggle threshold thr,
-// clipped at the stripe boundaries it crosses: at most lanes-1 of a
-// chunk's segments cross one. The pieces share the segment's counts
+// clipFrom lays the records from index first on, which run past the
+// current stripe's room, across the stripe boundaries: a record that
+// crosses one is split in place into two records with the same counts
 // slot, where the walk adds their toggles.
-func (sc *schedule) add(thr, d uint32) {
-	slot := uint32(len(sc.counts))
-	sc.counts = append(sc.counts, 0)
-	sc.total += uint64(d)
-	rem := uint64(d)
-	for rem > sc.left {
-		if sc.left > 0 {
-			sc.recs = append(sc.recs, laneRec{thr: thr, rem: uint32(sc.left), slot: slot})
-			rem -= sc.left
+func (sc *schedule) clipFrom(first int) {
+	for i := first; i < len(sc.recs); i++ {
+		for uint64(sc.recs[i].rem) > sc.left {
+			if left := uint32(sc.left); left > 0 {
+				sc.recs = append(sc.recs, laneRec{})
+				copy(sc.recs[i+1:], sc.recs[i:])
+				sc.recs[i].rem = left
+				i++
+				sc.recs[i].rem -= left
+			}
+			sc.laneEnd[sc.lane] = int32(i)
+			sc.lane++
+			sc.left = sc.q
+			if sc.lane == sc.lanes-1 {
+				sc.left = sc.last
+			}
 		}
-		sc.laneEnd[sc.lane] = int32(len(sc.recs))
-		sc.lane++
-		sc.left = sc.q
-		if sc.lane == sc.lanes-1 {
-			sc.left = sc.last
-		}
+		sc.left -= uint64(sc.recs[i].rem)
 	}
-	sc.recs = append(sc.recs, laneRec{thr: thr, rem: uint32(rem), slot: slot})
-	sc.left -= rem
 }
 
-// endLanes closes the stripes that received no records.
-func (sc *schedule) endLanes() {
+// end closes the stripes that received no records and sizes the
+// counts for the walk.
+func (sc *schedule) end() {
 	for ; sc.lane < sc.lanes; sc.lane++ {
 		sc.laneEnd[sc.lane] = int32(len(sc.recs))
 	}
+	if cap(sc.counts) < sc.nseg {
+		sc.counts = make([]uint32, sc.nseg)
+	}
+	sc.counts = sc.counts[:sc.nseg]
 }
 
 // maxWalkLanes sizes width-independent scratch for the widest tier.
@@ -339,6 +344,7 @@ func (s *StreamEstimator) compile(sc *schedule, chunk []iss.TraceEntry, draws ui
 		lanes = s.kernel.width()
 	}
 	sc.begin(len(chunk), len(s.e.blocks), lanes, s.rng, draws)
+	var sumCyc uint64
 	for i := range chunk {
 		cyc, pAct, err := s.prepEntry(&chunk[i])
 		if err != nil {
@@ -346,8 +352,11 @@ func (s *StreamEstimator) compile(sc *schedule, chunk []iss.TraceEntry, draws ui
 			break
 		}
 		s.emitSegments(sc, cyc, pAct)
+		sumCyc += uint64(cyc)
 	}
-	sc.endLanes()
+	// Every block draws once per net per cycle, active or idle.
+	sc.total = sumCyc * s.totalNets
+	sc.end()
 	s.rng = JumpAhead(s.rng, sc.total)
 }
 
@@ -509,38 +518,54 @@ func (s *StreamEstimator) prepEntry(te *iss.TraceEntry) (cyc int, pAct float64, 
 
 // emitSegments compiles one prepped entry into draw segments, in the
 // exact block and active-before-idle order the sequential path
-// simulates them, and marks each segment's block and phase (bk: block
-// index << 1, low bit set when idle) in the entry's present bits.
+// simulates them, appended as lane records, and marks each segment's
+// block and phase in the entry's present words, 32 blocks to a word:
+// bit 2b for block b's active segment, 2b+1 for its idle one. The
+// entry draws cyc × Σnets; when that crosses the current stripe's
+// boundary — at most lanes-1 entries a chunk — its records are
+// clipped afterwards.
 //
 //xtenergy:hotpath
 func (s *StreamEstimator) emitSegments(sc *schedule, cyc int, pAct float64) {
 	thrA := toggleThreshold(pAct)
 	thrI := s.thrIdle
-	activity := s.activity
 	blocks := s.e.blocks
-	n := len(sc.present)
-	for w := 0; w < sc.words; w++ {
-		sc.present = append(sc.present, 0)
-	}
-	present := sc.present[n:]
+	activity := s.activity[:len(blocks)]
+	first := len(sc.recs)
+	recs, slot := sc.recs, uint32(sc.nseg)
+	var present uint64
 	for bi := range blocks {
 		nets := blocks[bi].nets
 		act := activity[bi]
 		if act > cyc {
 			act = cyc
 		}
-		bk := uint(bi) << 1
+		sh := uint(2 * (bi & 31)) // block bi's active bit in its word
 		if act > 0 {
-			sc.add(thrA, uint32(act*nets))
-			present[bk>>6] |= 1 << (bk & 63)
+			recs = append(recs, laneRec{thr: thrA, rem: uint32(act * nets), slot: slot})
+			slot++
+			present |= 1 << sh
 		}
 		if idle := cyc - act; idle > 0 {
-			sc.add(thrI, uint32(idle*nets))
-			bk |= 1
-			present[bk>>6] |= 1 << (bk & 63)
+			recs = append(recs, laneRec{thr: thrI, rem: uint32(idle * nets), slot: slot})
+			slot++
+			present |= 2 << sh
+		}
+		if bi&31 == 31 {
+			sc.present = append(sc.present, present)
+			present = 0
 		}
 	}
+	if len(blocks)&31 != 0 {
+		sc.present = append(sc.present, present)
+	}
+	sc.recs, sc.nseg = recs, int(slot)
 	sc.entCyc = append(sc.entCyc, uint32(cyc))
+	if d := uint64(cyc) * s.totalNets; d <= sc.left {
+		sc.left -= d
+	} else {
+		sc.clipFrom(first)
+	}
 }
 
 // walk counts the toggles of every segment of sc into its counts slot:
@@ -553,6 +578,7 @@ func (sc *schedule) walk() {
 	if sc.total == 0 {
 		return
 	}
+	clear(sc.counts)
 	switch sc.lanes {
 	case 1:
 		st := sc.laneStates[0]
@@ -669,8 +695,8 @@ func (s *StreamEstimator) consumeEntrySeq(te *iss.TraceEntry) error {
 // simulateNets advances the toggle process of a net population for the
 // given number of cycles and returns the number of observed toggles.
 // This per-net work is what a gate-level power simulator fundamentally
-// does, and is what makes the reference path slow; the lane kernel
-// (countChunkLanes) computes the same counts from the same states with
+// does, and is what makes the reference path slow; the chunk walk
+// (schedule.walk) computes the same counts from the same states with
 // the serial dependency broken by jump-ahead.
 //
 //xtenergy:hotpath
@@ -834,7 +860,7 @@ func (r *ring) sink(ctx context.Context, batch []iss.TraceEntry) error {
 	if r.st != nil {
 		draws = r.st.chunkDraws(batch)
 		if r.st.sequential(draws) {
-			return r.sequential(ctx, batch)
+			return r.barrier(ctx, batch)
 		}
 	}
 	sl, err := r.acquire(ctx)
@@ -995,11 +1021,11 @@ func (r *ring) walkAfter(sl *slot) bool {
 	return false
 }
 
-// sequential runs a chunk outside the lane walk's envelope on the
+// barrier runs a chunk outside the lane walk's envelope on the
 // simulator's goroutine, through Consume's sequential path, once the
 // consumer has settled every slot in flight: the simulator then owns
 // both the compile and the fold state.
-func (r *ring) sequential(ctx context.Context, batch []iss.TraceEntry) error {
+func (r *ring) barrier(ctx context.Context, batch []iss.TraceEntry) error {
 	var held [ringSize]*slot
 	for i := range held {
 		select {

@@ -36,7 +36,7 @@ func reportsIdentical(t *testing.T, want, got rtlpower.Report) {
 // streaming estimator — fed the trace in ragged batches — produces a
 // Report bit-identical to EstimateTrace under the same technology seed,
 // and that the fully streamed path (RunStreamed, where the ISS and the
-// estimator overlap through the bounded batch channel) matches too.
+// estimator overlap through the ring of compiled chunks) matches too.
 func TestStreamEquivalence(t *testing.T) {
 	cfg := procgen.Default()
 	tech := rtlpower.FastTechnology()
@@ -82,7 +82,7 @@ func TestStreamEquivalence(t *testing.T) {
 			reportsIdentical(t, want, got)
 
 			// End-to-end streamed run: fresh simulator feeding the
-			// estimator through the bounded batch channel.
+			// estimator through the ring of compiled chunks.
 			eProg, err := rtlpower.New(proc, tech)
 			if err != nil {
 				t.Fatal(err)
