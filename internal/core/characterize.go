@@ -314,9 +314,10 @@ func Characterize(ctx context.Context, cfg procgen.Config, tech rtlpower.Technol
 	// + reference power estimation, resource analysis — is independent of
 	// the others, so the suite is measured with a worker pool. Within
 	// each worker the ISS feeds the incremental estimator through a
-	// bounded batch channel (rtlpower.RunStreamed via EstimateProgram):
-	// no execution trace is ever materialized, so memory stays O(1) in
-	// workload length and simulation overlaps with per-net estimation.
+	// small ring of compiled chunks (rtlpower.RunStreamed via
+	// EstimateProgram): no execution trace is ever materialized, so
+	// memory stays O(1) in workload length and simulation overlaps with
+	// per-net estimation.
 	// Results are deterministic regardless of scheduling: every program
 	// gets its own simulator and stream estimator (with the technology's
 	// fixed seed).

@@ -20,7 +20,11 @@ type Config struct {
 	// UnixPath is the unix-socket path ("" disables the socket). A
 	// stale socket file from a crashed predecessor is removed on bind.
 	UnixPath string
-	// Workers bounds concurrent pipeline runs (0 = GOMAXPROCS).
+	// Workers bounds concurrent pipeline runs (0 = GOMAXPROCS). A run
+	// is not one core's work: an estimate's reference pass keeps the
+	// ISS and its stream's consumer on two goroutines that share the
+	// walks (rtlpower.RunStreamed), so one run may use two cores while
+	// the other is idle.
 	Workers int
 	// QueueDepth is the admission queue in front of the workers;
 	// requests beyond Workers+QueueDepth are shed with "unavailable"
