@@ -520,7 +520,8 @@ func (s *StreamEstimator) prepEntry(te *iss.TraceEntry) (cyc int, pAct float64, 
 // exact block and active-before-idle order the sequential path
 // simulates them, appended as lane records, and marks each segment's
 // block and phase in the entry's present words, 32 blocks to a word:
-// bit 2b for block b's active segment, 2b+1 for its idle one. The
+// for block b, bit 2(b mod 32) of word b/32 marks its active segment
+// and the bit above it its idle one. The
 // entry draws cyc × Σnets; when that crosses the current stripe's
 // boundary — at most lanes-1 entries a chunk — its records are
 // clipped afterwards.
