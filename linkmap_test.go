@@ -3,21 +3,29 @@ package xtenergy_test
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
+	"sort"
+	"strconv"
 	"strings"
 	"testing"
+
+	"xtenergy/internal/analyzers"
 )
 
-// oracleDirective marks a function that no binary links but that tests
-// of other packages compare against. It names the tests that use it:
+// oracleDirective marks a function that no binary links, or a field
+// that no non-test code writes, but that tests of other packages
+// compare against. It names the tests that use it:
 //
-//	//xtenergy:oracle FuzzUninitDifferential
+//	//xtenergy:oracle TestCRC32Correct
 const oracleDirective = "//xtenergy:oracle"
 
 // linkArchs are the architectures whose builds make up the link map:
@@ -89,7 +97,7 @@ func TestInternalFuncsLinked(t *testing.T) {
 			if fd.Name.Name == "init" && fd.Recv == nil {
 				isLinked = linked[pkg+"init"] || linked[pkg+"init.0"]
 			}
-			oracles := oracleTests(fd)
+			oracles := oracleTests(fd.Doc)
 			where := fset.Position(fd.Pos())
 			for _, name := range oracles {
 				if !tests[name] {
@@ -108,6 +116,191 @@ func TestInternalFuncsLinked(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestInternalFieldsWritten fails on any exported field of an exported
+// struct type under internal/ that no non-test code writes, unless an
+// oracle line in its doc comment names the tests that set it. A write
+// is a keyed or positional composite literal (an elided &T{} element
+// too), an assignment or inc/dec of the field or of an element indexed
+// through it, or taking its address; a field with a json tag counts as
+// written by decoding. The module's non-test packages and perfbench are
+// type-checked once per link architecture, so code behind build
+// constraints counts. Like TestInternalFuncsLinked, it also fails on an
+// oracle line that names no existing test, and on one that marks a
+// written field.
+func TestInternalFieldsWritten(t *testing.T) {
+	if testing.Short() {
+		t.Skip("type-checks the module for three architectures")
+	}
+	fields := map[string]fieldDecl{} // by fieldKey
+	written := map[string]bool{}
+	for _, arch := range linkArchs {
+		t.Setenv("GOARCH", arch)
+		t.Setenv("CGO_ENABLED", "0")
+		for _, dir := range []string{".", "perfbench"} {
+			pkgs, err := analyzers.LoadContext(context.Background(), dir, "./...")
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, p := range pkgs {
+				for _, f := range p.Files {
+					if strings.HasPrefix(p.PkgPath, "xtenergy/internal/") {
+						exportedFields(p, f, fields)
+					}
+					ast.Inspect(f, func(n ast.Node) bool {
+						markWrites(p.Info, n, written)
+						return true
+					})
+				}
+			}
+		}
+	}
+
+	tests := testFuncNames(t)
+	keys := make([]string, 0, len(fields))
+	for key := range fields {
+		keys = append(keys, key)
+	}
+	sort.Strings(keys)
+	for _, key := range keys {
+		f := fields[key]
+		for _, name := range f.oracles {
+			if !tests[name] {
+				t.Errorf("%s: %s names %q, which is no Test, Fuzz or Benchmark function", f.where, oracleDirective, name)
+			}
+		}
+		isWritten := written[key] || f.jsonTagged
+		switch {
+		case isWritten && f.oracles != nil:
+			t.Errorf("%s: non-test code writes %s; drop its %s line", f.where, key, oracleDirective)
+		case !isWritten && f.oracles == nil:
+			t.Errorf("%s: no non-test code writes %s: delete it, move what sets it into the tests, or mark the tests that set it with %s", f.where, key, oracleDirective)
+		}
+	}
+}
+
+// fieldDecl is one exported field of an exported struct type.
+type fieldDecl struct {
+	where   token.Position
+	oracles []string
+	// jsonTagged fields count as written by encoding/json's decoding.
+	jsonTagged bool
+}
+
+// exportedFields adds the exported fields of f's exported struct types
+// to fields, by fieldKey.
+func exportedFields(p *analyzers.Package, f *ast.File, fields map[string]fieldDecl) {
+	for _, decl := range f.Decls {
+		gd, ok := decl.(*ast.GenDecl)
+		if !ok || gd.Tok != token.TYPE {
+			continue
+		}
+		for _, spec := range gd.Specs {
+			ts := spec.(*ast.TypeSpec)
+			st, ok := ts.Type.(*ast.StructType)
+			if !ok || !ts.Name.IsExported() {
+				continue
+			}
+			for _, fl := range st.Fields.List {
+				var tag string
+				if fl.Tag != nil {
+					tag, _ = strconv.Unquote(fl.Tag.Value)
+				}
+				name, tagged := reflect.StructTag(tag).Lookup("json")
+				for _, id := range fl.Names {
+					if id.IsExported() {
+						fields[p.PkgPath+"."+ts.Name.Name+"."+id.Name] = fieldDecl{
+							p.Fset.Position(id.Pos()), oracleTests(fl.Doc), tagged && name != "-",
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// markWrites marks the fields that node n writes.
+func markWrites(info *types.Info, n ast.Node, written map[string]bool) {
+	switch n := n.(type) {
+	case *ast.CompositeLit:
+		typ := info.Types[n].Type
+		if ptr, ok := typ.(*types.Pointer); ok {
+			typ = ptr.Elem() // an elided &T{}
+		}
+		st, ok := typ.Underlying().(*types.Struct)
+		if !ok {
+			return
+		}
+		for i, elt := range n.Elts {
+			if kv, ok := elt.(*ast.KeyValueExpr); ok {
+				written[fieldKey(typ, kv.Key.(*ast.Ident).Name)] = true
+			} else {
+				written[fieldKey(typ, st.Field(i).Name())] = true
+			}
+		}
+	case *ast.AssignStmt:
+		for _, lhs := range n.Lhs {
+			markFieldWrites(info, lhs, written)
+		}
+	case *ast.IncDecStmt:
+		markFieldWrites(info, n.X, written)
+	case *ast.UnaryExpr:
+		if n.Op == token.AND {
+			markFieldWrites(info, n.X, written)
+		}
+	}
+}
+
+// markFieldWrites marks the fields an assignment to lhs writes: every
+// field selected on the way down to the assigned variable, through
+// index expressions, until a selection goes through a pointer.
+func markFieldWrites(info *types.Info, lhs ast.Expr, written map[string]bool) {
+	for {
+		switch e := lhs.(type) {
+		case *ast.ParenExpr:
+			lhs = e.X
+		case *ast.IndexExpr:
+			lhs = e.X
+		case *ast.SelectorExpr:
+			sel := info.Selections[e]
+			if sel == nil || sel.Kind() != types.FieldVal {
+				return
+			}
+			// Each index steps one field deeper; a promoted field
+			// writes the embedded fields it is reached through.
+			typ := sel.Recv()
+			for _, i := range sel.Index() {
+				if ptr, ok := typ.Underlying().(*types.Pointer); ok {
+					typ = ptr.Elem()
+				}
+				st, ok := typ.Underlying().(*types.Struct)
+				if !ok {
+					return
+				}
+				written[fieldKey(typ, st.Field(i).Name())] = true
+				typ = st.Field(i).Type()
+			}
+			if sel.Indirect() {
+				return
+			}
+			lhs = e.X
+		default:
+			return
+		}
+	}
+}
+
+// fieldKey names field name of the struct type typ as
+// "<package path>.<type>.<field>"; a field of an unnamed struct type
+// gets a key no declared field has.
+func fieldKey(typ types.Type, name string) string {
+	named, ok := types.Unalias(typ).(*types.Named)
+	if !ok || named.Obj().Pkg() == nil {
+		return "." + name
+	}
+	obj := named.Origin().Obj()
+	return obj.Pkg().Path() + "." + obj.Name() + "." + name
 }
 
 // runOutput runs name with args in dir and returns its standard output.
@@ -166,14 +359,14 @@ func funcSymbol(fd *ast.FuncDecl) string {
 	return recv + "." + fd.Name.Name
 }
 
-// oracleTests returns the test names on fd's oracle lines, or nil when
-// it has none.
-func oracleTests(fd *ast.FuncDecl) []string {
-	if fd.Doc == nil {
+// oracleTests returns the test names on the oracle lines of a doc
+// comment, or nil when it has none.
+func oracleTests(doc *ast.CommentGroup) []string {
+	if doc == nil {
 		return nil
 	}
 	var names []string
-	for _, c := range fd.Doc.List {
+	for _, c := range doc.List {
 		if c.Text != oracleDirective && !strings.HasPrefix(c.Text, oracleDirective+" ") {
 			continue
 		}
