@@ -3,9 +3,7 @@ package iss_test
 import (
 	"testing"
 
-	"xtenergy/internal/asm"
 	"xtenergy/internal/isa"
-	"xtenergy/internal/iss"
 	"xtenergy/internal/plan"
 	"xtenergy/internal/procgen"
 )
@@ -111,78 +109,4 @@ func TestRegUseOfCustomForms(t *testing.T) {
 	if none.Reads != 0 || none.Writes != 0 {
 		t.Errorf("nil compiled: Reads=%#x Writes=%#x, want 0,0", none.Reads, none.Writes)
 	}
-}
-
-// TestRecordUninitReads exercises the dynamic ground truth the xlint
-// initialization analysis is validated against: reads of never-written
-// registers are recorded once per (pc, register), a0 counts as
-// initialized (reset loads the halt sentinel), and clean programs record
-// nothing.
-func TestRecordUninitReads(t *testing.T) {
-	proc, err := procgen.Generate(procgen.Default(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	run := func(src string) *iss.Result {
-		t.Helper()
-		prog := mustAssembleSrc(t, src)
-		res, err := iss.New(proc).Run(prog, iss.Options{RecordUninitReads: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-
-	// a3 is read before any write; a2 is written first. The add reads
-	// both a2 (clean) and a3 (dirty) at pc 1.
-	res := run(`
-    movi a2, 7
-    add a1, a2, a3
-    ret
-`)
-	if len(res.UninitReads) != 1 || res.UninitReads[0] != (iss.UninitRead{PC: 1, Reg: 3}) {
-		t.Fatalf("UninitReads = %v, want [{PC:1 Reg:3}]", res.UninitReads)
-	}
-
-	// The same pc re-executed in a loop reports the register once.
-	res = run(`
-    movi a2, 3
-loop:
-    add a1, a1, a4
-    addi a2, a2, -1
-    bnez a2, loop
-    ret
-`)
-	var hits int
-	for _, ur := range res.UninitReads {
-		if ur.Reg == 4 {
-			hits++
-		}
-	}
-	if hits != 1 {
-		t.Fatalf("a4 reported %d times, want 1 (dedup per pc,reg): %v", hits, res.UninitReads)
-	}
-	// a1 is also read uninitialized by the add.
-	if len(res.UninitReads) != 2 {
-		t.Fatalf("UninitReads = %v, want a1 and a4", res.UninitReads)
-	}
-
-	// ret reads a0, which reset initializes: a clean program records nothing.
-	res = run(`
-    movi a2, 1
-    add a1, a2, a2
-    ret
-`)
-	if len(res.UninitReads) != 0 {
-		t.Fatalf("clean program recorded %v", res.UninitReads)
-	}
-}
-
-func mustAssembleSrc(t *testing.T, src string) *iss.Program {
-	t.Helper()
-	prog, err := asm.New(nil).Assemble("t", src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return prog
 }

@@ -25,20 +25,16 @@ const UncachedFetchPenalty = 6
 // Options configures a simulation run.
 type Options struct {
 	// TraceSink, when non-nil, streams the execution trace: every
-	// retired instruction is delivered, in order, in batches of up to
-	// TraceBatchSize entries. The batch slice is owned by the simulator
-	// and reused after the call returns, so a sink that keeps entries
-	// beyond the call must copy them. Returning a non-nil error aborts
-	// the run. The simulator keeps no trace of its own, so its memory
-	// does not grow with run length.
+	// retired instruction of a run that halts is delivered, in order,
+	// in batches of up to TraceBatchSize entries. A run that returns a
+	// fault does not deliver its last partial batch, so the sink misses
+	// up to TraceBatchSize-1 instructions retired before the fault, and
+	// never sees the instruction at the fault's pc. The batch slice is
+	// owned by the simulator and reused after the call returns, so a
+	// sink that keeps entries beyond the call must copy them. Returning
+	// a non-nil error aborts the run. The simulator keeps no trace of
+	// its own, so its memory does not grow with run length.
 	TraceSink func(batch []TraceEntry) error
-	// RecordUninitReads tracks which general registers have been written
-	// (the link register a0 counts as written: reset initializes it to
-	// the halt sentinel) and records every architectural read of a
-	// never-written register in Result.UninitReads, deduplicated per
-	// (pc, register). It is the dynamic ground truth the xlint static
-	// initialization analysis is validated against.
-	RecordUninitReads bool
 	// MaxCycles aborts runaway programs; 0 means the default (200M).
 	// Exceeding it raises a FaultWatchdog fault.
 	MaxCycles uint64
@@ -47,25 +43,10 @@ type Options struct {
 	// returning a non-nil fault aborts the run at that site (the
 	// simulator fills in the program, pc, instruction, and cycle).
 	// This is the seam the internal/chaos fault-injection harness
-	// uses; leave nil in production runs.
+	// uses. Tests also use a hook that always returns nil to observe
+	// each pc before it steps, the faulting one included. Leave nil in
+	// production runs.
 	InjectFault func(pc int, cycle uint64) *Fault
-	// RegProbe, when non-nil, observes the architectural register file
-	// immediately before each instruction executes: it is called with
-	// the upcoming pc and the live register array (read-only; the array
-	// is the simulator's own state, so the probe must not write to it or
-	// retain the pointer past the call). This is the dynamic oracle the
-	// xlint abstract interpreter's soundness tests are validated
-	// against: every observed value must lie inside the statically
-	// inferred interval at that pc.
-	RegProbe func(pc int, regs *[isa.NumRegs]uint32)
-}
-
-// UninitRead records one dynamic read of a never-written register.
-type UninitRead struct {
-	// PC is the word index of the reading instruction.
-	PC int
-	// Reg is the register number that was read before any write.
-	Reg uint8
 }
 
 // TraceBatchSize is the number of retired instructions delivered per
@@ -85,10 +66,6 @@ type Result struct {
 	// TIE is the final custom state (nil when the processor has no
 	// extension or no custom registers).
 	TIE *tie.State
-	// UninitReads lists reads of never-written registers, one entry per
-	// distinct (pc, register) pair in first-occurrence order (nil unless
-	// Options.RecordUninitReads was set).
-	UninitReads []UninitRead
 }
 
 // Simulator executes XT32 programs on a generated processor instance.
@@ -125,22 +102,11 @@ type Simulator struct {
 	sink  func(batch []TraceEntry) error
 	batch []TraceEntry
 
-	// probe is Options.RegProbe for the current run.
-	probe func(pc int, regs *[isa.NumRegs]uint32)
-
 	// entry is the scratch trace entry for the step in flight. It lives
 	// on the simulator (not the step frame) because its address crosses
 	// the indirect exec-table call, which would otherwise force a heap
 	// allocation per retired instruction.
 	entry TraceEntry
-
-	// Uninitialized-read tracking (Options.RecordUninitReads): written is
-	// the bitmask of registers written so far, uninit the recorded reads,
-	// and uninitSeen deduplicates per (pc, register).
-	trackInit  bool
-	written    uint64
-	uninit     []UninitRead
-	uninitSeen map[int]uint64
 
 	// Zero-overhead loop state (the configurable loop option): when
 	// loopActive and execution reaches loopEnd, control returns to
@@ -198,11 +164,6 @@ func (s *Simulator) RunContext(ctx context.Context, prog *Program, opts Options)
 			s.batch = make([]TraceEntry, 0, TraceBatchSize)
 		}
 		s.batch = s.batch[:0]
-	}
-	s.probe = opts.RegProbe
-	s.trackInit = opts.RecordUninitReads
-	if s.trackInit {
-		s.uninitSeen = make(map[int]uint64)
 	}
 	maxCycles := opts.MaxCycles
 	if maxCycles == 0 {
@@ -267,7 +228,7 @@ func (s *Simulator) RunContext(ctx context.Context, prog *Program, opts Options)
 		s.batch = s.batch[:0]
 	}
 
-	res = &Result{Stats: s.stats, Regs: s.regs, UninitReads: s.uninit}
+	res = &Result{Stats: s.stats, Regs: s.regs}
 	if s.tie != nil {
 		res.TIE = s.tie.Clone()
 	}
@@ -298,14 +259,6 @@ func (s *Simulator) site(err error, pc int) error {
 	return fmt.Errorf("iss: %s at pc %d: %w", s.prog.Name, pc, err)
 }
 
-// UninitReads returns the uninitialized-register reads recorded during
-// the most recent Run with Options.RecordUninitReads — including runs
-// that ended in an error, for which Run returns no Result (the recorded
-// prefix up to the fault is still meaningful to differential tests).
-//
-//xtenergy:oracle FuzzUninitDifferential
-func (s *Simulator) UninitReads() []UninitRead { return s.uninit }
-
 func (s *Simulator) reset(prog *Program) {
 	s.prog = prog
 	s.plan = prog.Plan(s.proc.TIE)
@@ -327,9 +280,6 @@ func (s *Simulator) reset(prog *Program) {
 	s.dc.Reset()
 	s.pipe.Reset()
 	s.loopActive = false
-	s.written = 1 << 0 // a0 holds the halt sentinel from reset
-	s.uninit = nil
-	s.uninitSeen = nil
 	s.stats = Stats{}
 	if n := s.proc.TIE.NumInstructions(); n > 0 {
 		s.stats.CustomExec = make([]uint64, n)
@@ -349,10 +299,6 @@ func (s *Simulator) reset(prog *Program) {
 func (s *Simulator) step(pc int) (next int, halt bool, err error) {
 	rec := &s.plan.Recs[pc]
 	in := rec.Instr
-
-	if s.probe != nil {
-		s.probe(pc, &s.regs)
-	}
 
 	te := &s.entry
 	*te = TraceEntry{}
@@ -386,18 +332,6 @@ func (s *Simulator) step(pc int) (next int, halt bool, err error) {
 	// --- Execute ---
 	s.stats.Retired++
 	s.stats.OpcodeExec[in.Op]++
-
-	if s.trackInit {
-		if unread := rec.Use.Reads &^ s.written &^ s.uninitSeen[pc]; unread != 0 {
-			s.uninitSeen[pc] |= unread
-			for r := 0; r < isa.NumRegs; r++ {
-				if unread&(1<<r) != 0 {
-					s.uninit = append(s.uninit, UninitRead{PC: pc, Reg: uint8(r)})
-				}
-			}
-		}
-		s.written |= rec.Use.Writes
-	}
 
 	if in.IsCustom() {
 		n, err := s.execCustom(rec, te)

@@ -16,8 +16,9 @@ package xlint
 //
 // Soundness contract: for every reachable pc, the interval of each
 // register contains every value the ISS can observe in that register
-// immediately before executing that pc (iss.Options.RegProbe is the
-// dynamic oracle the differential tests check this against). Transfer
+// immediately before executing that pc. The differential tests check
+// this against a register file they rebuild from the ISS's trace sink
+// (regShadow in oracle_test.go). Transfer
 // functions mirror the exec-table semantics in internal/iss exactly;
 // anything not modeled precisely degrades to [0, 2^32-1], never to a
 // narrower guess.

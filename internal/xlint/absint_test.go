@@ -33,10 +33,11 @@ func hasCode(rep *xlint.Report, code string) bool {
 }
 
 // TestAbsintSoundEveryWorkload is the soundness oracle: for every
-// registered workload, every register value the ISS observes at every pc
-// must lie inside the abstract interpreter's converged interval for that
-// register at that pc. Any violation means a transfer function or
-// refinement disagrees with the exec table.
+// registered workload, every register value the ISS runs an instruction
+// with, rebuilt from its trace by regShadow, must lie inside the
+// abstract interpreter's converged interval for that register at that
+// pc. Any violation means a transfer function or refinement disagrees
+// with the exec table.
 func TestAbsintSoundEveryWorkload(t *testing.T) {
 	cfgP := procgen.Default()
 	for _, w := range workloads.All() {
@@ -50,19 +51,13 @@ func TestAbsintSoundEveryWorkload(t *testing.T) {
 			if rep.Abs == nil {
 				t.Fatal("Analyze left Report.Abs nil")
 			}
-			var violation error
-			_, err = iss.New(proc).Run(prog, iss.Options{
-				RegProbe: func(pc int, regs *[isa.NumRegs]uint32) {
-					if violation == nil {
-						violation = rep.Abs.Check(pc, regs)
-					}
-				},
-			})
+			shadow := newRegShadow(proc, rep.Abs)
+			_, err = iss.New(proc).Run(prog, iss.Options{TraceSink: shadow.sink})
+			if shadow.violation != nil {
+				t.Fatalf("abstract state violated: %v", shadow.violation)
+			}
 			if err != nil {
 				t.Fatal(err)
-			}
-			if violation != nil {
-				t.Errorf("abstract state violated: %v", violation)
 			}
 		})
 	}

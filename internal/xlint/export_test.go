@@ -14,7 +14,8 @@ func (a Itv) Contains(v uint32) bool { return int64(v) >= a.Lo && int64(v) <= a.
 // Check validates one dynamic register-file observation against the
 // static state at pc: every register's value must lie inside its
 // interval. It returns a descriptive error on the first violation —
-// the soundness oracle for iss.Options.RegProbe differential tests.
+// the soundness oracle that regShadow applies to every traced
+// instruction.
 func (a *AbsResult) Check(pc int, regs *[isa.NumRegs]uint32) error {
 	var st RegState
 	if !a.stateAt(pc, &st) {

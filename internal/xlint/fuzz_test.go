@@ -48,15 +48,13 @@ func FuzzUninitDifferential(f *testing.F) {
 		}
 		// xlint says every read is initialized on every path; the ISS must
 		// agree on this path. Mutations can create runaway loops, so cap
-		// cycles and inspect the partial trace even when the run errors.
-		sim := iss.New(proc)
-		_, err := sim.Run(prog, iss.Options{
-			RecordUninitReads: true,
-			MaxCycles:         200_000,
-		})
-		if ur := sim.UninitReads(); len(ur) > 0 {
+		// cycles; the tracker has seen every instruction up to the
+		// watchdog or fault that ends the run.
+		u := newUninitTracker(proc, prog)
+		_, err := iss.New(proc).Run(prog, iss.Options{InjectFault: u.observe, MaxCycles: 200_000})
+		if len(u.reads) > 0 {
 			t.Fatalf("xlint passed seed=%d mask=%#x as fully initialized, but the ISS read uninitialized a%d at pc %d (run err: %v)",
-				seed, mask, ur[0].Reg, ur[0].PC, err)
+				seed, mask, u.reads[0].reg, u.reads[0].pc, err)
 		}
 	})
 }
