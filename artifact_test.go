@@ -6,8 +6,9 @@ package xtenergy_test
 // and a float64 marshals in its shortest round-trip form, so the
 // SHA-256 of an artifact changes with any bit of any energy,
 // coefficient or bound. Each test covers one op over the registry, in
-// process on a memory-only engine with NoCache. Regenerate the table
-// only for a change that the commit names:
+// process on a memory-only engine: with NoCache, except characterize,
+// whose artifact is decoded from the bytes the store keeps. Regenerate
+// the table only for a change that the commit names:
 //
 //	go test -run TestArtifactDigests -update-output .
 
@@ -78,7 +79,7 @@ func TestArtifactDigestsCharacterize(t *testing.T) {
 	} {
 		cr, _, err := e.Characterize(context.Background(), engine.CharacterizeSpec{
 			Config: procgen.Default(), Tech: tc.tech,
-			Workloads: workloads.CharacterizationSuite(), NoCache: true,
+			Workloads: workloads.CharacterizationSuite(),
 		})
 		if err != nil {
 			t.Fatalf("characterize %s: %v", tc.name, err)

@@ -38,15 +38,8 @@ import (
 // Options configures an Engine.
 type Options struct {
 	// Dir is the on-disk artifact store root; "" keeps the store
-	// memory-only.
+	// memory-only. The memory tier keeps memo's bounds.
 	Dir string
-	// MaxEntries / MaxBytes bound the in-memory tier (0 = memo
-	// defaults).
-	MaxEntries int
-	MaxBytes   int64
-	// OnCorrupt observes the typed iss.Fault raised for every corrupt
-	// disk entry (the request itself recomputes and succeeds).
-	OnCorrupt func(error)
 }
 
 // Engine resolves canonical requests against the artifact store. A
@@ -63,9 +56,7 @@ type Engine struct {
 
 // New opens an engine over its artifact store.
 func New(o Options) (*Engine, error) {
-	st, err := memo.New(memo.Options{
-		Dir: o.Dir, MaxEntries: o.MaxEntries, MaxBytes: o.MaxBytes, OnCorrupt: o.OnCorrupt,
-	})
+	st, err := memo.New(memo.Options{Dir: o.Dir})
 	if err != nil {
 		return nil, err
 	}
@@ -301,7 +292,6 @@ type CharacterizeSpec struct {
 	Tech      rtlpower.Technology
 	Workloads []core.Workload
 	Opts      core.Options
-	NoCache   bool
 }
 
 // Characterize resolves one characterization — the fitted-model cache.
@@ -320,7 +310,7 @@ func (e *Engine) Characterize(ctx context.Context, spec CharacterizeSpec) (*core
 	for _, w := range spec.Workloads {
 		req.Workloads = append(req.Workloads, workloadRecord(w))
 	}
-	a, out, err := resolve(ctx, e, "characterize", req, spec.NoCache, func(ctx context.Context) (*charArtifact, error) {
+	a, out, err := resolve(ctx, e, "characterize", req, false, func(ctx context.Context) (*charArtifact, error) {
 		cr, err := core.Characterize(ctx, spec.Config, spec.Tech, spec.Workloads, spec.Opts)
 		if err != nil {
 			return nil, err

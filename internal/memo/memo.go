@@ -10,10 +10,10 @@
 // processes.
 //
 // Corrupted or truncated disk entries never poison the store: every
-// entry carries a checksum, a failed verification surfaces as a typed
-// iss.Fault (FaultArtifact) through the OnCorrupt hook and the corrupt
-// counter, the entry is deleted, and the request falls through to
-// recomputation, which rewrites it.
+// entry carries a checksum, a failed verification is a typed iss.Fault
+// (FaultArtifact) that the corrupt counter counts, the entry is
+// deleted, and the request falls through to recomputation, which
+// rewrites it.
 package memo
 
 import (
@@ -105,16 +105,13 @@ type Options struct {
 	// Dir is the on-disk CAS root; "" disables the disk tier
 	// (memory-only store).
 	Dir string
-	// MaxEntries bounds the in-memory LRU entry count (0 = 1024).
-	MaxEntries int
-	// MaxBytes bounds the summed payload bytes held in memory
-	// (0 = 64 MiB).
-	MaxBytes int64
-	// OnCorrupt, when non-nil, observes the typed iss.Fault raised for
-	// every corrupt disk entry (tests and logs; the request itself
-	// recomputes and succeeds).
-	OnCorrupt func(error)
 }
+
+// The memory tier's bounds: entries, and summed payload bytes.
+const (
+	maxMemEntries = 1024
+	maxMemBytes   = 64 << 20
+)
 
 // flight is one in-progress computation identical requests coalesce on.
 type flight struct {
@@ -129,10 +126,13 @@ type flight struct {
 // written to a temp file and atomically renamed into place, and readers
 // verify checksums).
 type Store struct {
-	dir        string
+	dir string
+	// maxEntries and maxBytes bound the memory tier; tests lower them.
 	maxEntries int
 	maxBytes   int64
-	onCorrupt  func(error)
+	// onCorrupt, when a test sets it, observes the typed fault of each
+	// corrupt disk entry.
+	onCorrupt func(error)
 
 	mu      sync.Mutex
 	ll      *list.List // front = most recent
@@ -152,12 +152,6 @@ type entry struct {
 // create it is returned rather than silently degrading, so callers can
 // decide to fall back to a memory-only store.
 func New(o Options) (*Store, error) {
-	if o.MaxEntries <= 0 {
-		o.MaxEntries = 1024
-	}
-	if o.MaxBytes <= 0 {
-		o.MaxBytes = 64 << 20
-	}
 	if o.Dir != "" {
 		if err := os.MkdirAll(o.Dir, 0o755); err != nil {
 			return nil, fmt.Errorf("memo: create store dir: %w", err)
@@ -165,9 +159,8 @@ func New(o Options) (*Store, error) {
 	}
 	return &Store{
 		dir:        o.Dir,
-		maxEntries: o.MaxEntries,
-		maxBytes:   o.MaxBytes,
-		onCorrupt:  o.OnCorrupt,
+		maxEntries: maxMemEntries,
+		maxBytes:   maxMemBytes,
 		ll:         list.New(),
 		idx:        make(map[Digest]*list.Element),
 		flights:    make(map[Digest]*flight),
@@ -193,8 +186,7 @@ func (s *Store) Counters() Counters {
 // The returned bytes are shared with the store's memory tier; callers
 // must not mutate them. Compute errors are not cached: every waiter
 // receives the error and the next request computes again. A corrupt
-// disk entry is counted, reported through OnCorrupt as a typed
-// iss.Fault, deleted, and recomputed — never returned.
+// disk entry is counted, deleted, and recomputed — never returned.
 //
 // ctx cancels this caller's wait; the in-flight computation itself runs
 // on the leader's context. A follower whose leader was cancelled

@@ -90,10 +90,8 @@ func TestMemoryOnlyStore(t *testing.T) {
 }
 
 func TestLRUEviction(t *testing.T) {
-	s, err := New(Options{MaxEntries: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newTestStore(t, "")
+	s.maxEntries = 2
 	keys := make([]Digest, 3)
 	for i := range keys {
 		keys[i] = DigestBytes([]byte{byte(i)})
@@ -113,10 +111,8 @@ func TestLRUEviction(t *testing.T) {
 }
 
 func TestByteBoundEviction(t *testing.T) {
-	s, err := New(Options{MaxBytes: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newTestStore(t, "")
+	s.maxBytes = 10
 	a, b := DigestBytes([]byte("a")), DigestBytes([]byte("b"))
 	seed(t, s, a, make([]byte, 8))
 	seed(t, s, b, make([]byte, 8))
@@ -159,11 +155,7 @@ func TestCorruptEntriesRecompute(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
-			var faults []error
-			s, err := New(Options{Dir: dir, OnCorrupt: func(err error) { faults = append(faults, err) }})
-			if err != nil {
-				t.Fatal(err)
-			}
+			s := newTestStore(t, dir)
 			d := DigestBytes([]byte("req"))
 			seed(t, s, d, []byte("payload"))
 			corruptEntry(t, s, d, tc.fn)
@@ -171,10 +163,8 @@ func TestCorruptEntriesRecompute(t *testing.T) {
 			// Read through a fresh store so the memory tier cannot mask
 			// the corruption.
 			var faults2 []error
-			s2, err := New(Options{Dir: dir, OnCorrupt: func(err error) { faults2 = append(faults2, err) }})
-			if err != nil {
-				t.Fatal(err)
-			}
+			s2 := newTestStore(t, dir)
+			s2.onCorrupt = func(err error) { faults2 = append(faults2, err) }
 			got, out, err := s2.Do(context.Background(), d, func(context.Context) ([]byte, error) {
 				return []byte("payload"), nil
 			})
@@ -208,10 +198,8 @@ func TestCorruptEntriesRecompute(t *testing.T) {
 func TestUnreadableEntryIsAMiss(t *testing.T) {
 	dir := t.TempDir()
 	var faults []error
-	s, err := New(Options{Dir: dir, OnCorrupt: func(err error) { faults = append(faults, err) }})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newTestStore(t, dir)
+	s.onCorrupt = func(err error) { faults = append(faults, err) }
 	d := DigestBytes([]byte("req"))
 	if err := os.MkdirAll(s.path(d), 0o755); err != nil {
 		t.Fatal(err)
