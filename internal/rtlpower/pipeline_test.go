@@ -186,15 +186,16 @@ func burnExt() *tie.Extension {
 
 // TestRunStreamedOverCapChunk runs a chunk over the lane walk's 32-bit
 // draw cap through RunStreamed: it waits for the chunks in flight,
-// takes the sequential path on the simulator's goroutine, and the
-// stream goes on pipelining after it, with the same report and OnEntry
-// calls as serial Consume. The clock tree is given enough nets that a
-// batch of 64-cycle custom instructions crosses the cap while base
-// batches before it stay under; the over-cap chunk is over 2^30 scalar
-// draws, so the test takes a few seconds.
+// takes Consume's serial path on the simulator's goroutine, which
+// halves the chunk until each half fits the cap, and the stream goes on
+// pipelining after it, with the same report and OnEntry calls as serial
+// Consume. The clock tree is given enough nets that a batch of 64-cycle
+// custom instructions crosses the cap while base batches before it stay
+// under; the over-cap chunk is over 2^30 draws, so the test takes
+// about a second.
 func TestRunStreamedOverCapChunk(t *testing.T) {
 	if testing.Short() {
-		t.Skip("walks over 2^30 draws on the scalar chain")
+		t.Skip("walks over 2^30 draws")
 	}
 	proc, err := procgen.Generate(procgen.Default(), burnExt())
 	if err != nil {

@@ -294,16 +294,17 @@ func (s *StreamEstimator) sequential(draws uint64) bool {
 
 // consumeChunk estimates up to one batch worth of entries through its
 // three steps in sequence: compile, walk, fold. Chunks too large for
-// 32-bit lane arithmetic fall back to the sequential reference path,
-// which is bit-identical by construction.
+// 32-bit lane arithmetic are halved until they fit; a single entry over
+// the cap takes the sequential reference path, which is bit-identical
+// by construction.
 func (s *StreamEstimator) consumeChunk(chunk []iss.TraceEntry) error {
 	draws := s.chunkDraws(chunk)
 	if s.sequential(draws) {
-		// A wide chunk over the 32-bit draw cap is split, not
-		// sequentialized: only a minimal chunk that still exceeds the
+		// A chunk over the 32-bit draw cap is split, not
+		// sequentialized: only a single entry that still exceeds the
 		// cap (pathological per-entry cycle counts) walks the scalar
 		// reference path. Either way the result is bit-identical.
-		if !s.forceSeq && len(chunk) > iss.TraceBatchSize {
+		if !s.forceSeq && len(chunk) > 1 {
 			half := len(chunk) / 2
 			if err := s.consumeChunk(chunk[:half]); err != nil {
 				return err
