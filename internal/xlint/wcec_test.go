@@ -107,8 +107,9 @@ func TestWCECBracketEveryWorkload(t *testing.T) {
 // programs: the abstract state must contain every register value the
 // ISS runs an instruction with (the soundness oracle, regShadow), and
 // when the run halts normally the measured energy must lie inside
-// [BCEC, WCEC]. A run that fails keeps its last partial trace batch
-// from the shadow; none of the 1200 programs fails at the cycle cap.
+// [BCEC, WCEC]. A run that fails does not deliver its last partial
+// trace batch to the shadow; none of the 1200 programs fails at the
+// cycle cap.
 func TestWCECRandprogDifferential(t *testing.T) {
 	const programs = 1200
 	proc, err := procgen.Generate(procgen.Default(), nil)
