@@ -9,9 +9,9 @@ import (
 // schedule and checks every walker tier this host can run — portable
 // and SIMD alike — against the sequential scalar chain: identical
 // per-segment toggle counts and identical exit RNG state. The decoder
-// keeps every schedule inside the lane kernel's contract (total draws
-// in [laneMinDraws, maxChunkDraws)), which is what compile
-// guarantees in production for a lane walk.
+// keeps every schedule under maxChunkDraws, as compile does for a lane
+// walk, and reaches chunks of fewer draws than the widest tier has
+// lanes.
 func FuzzKernelDifferential(f *testing.F) {
 	f.Add([]byte{1}, uint32(1))
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}, uint32(0xdeadbeef))
@@ -20,26 +20,26 @@ func FuzzKernelDifferential(f *testing.F) {
 		0xff, 0xff, 0xff, 0xff, 0x80, // thr=^0, long run
 		0x34, 0x12, 0x00, 0x80, 0x01,
 	}, uint32(12345))
+	f.Add([]byte{
+		0x00, 0x00, 0x00, 0x80, 0x00, // runs of 1, 2 and 3 draws: a
+		0xff, 0xff, 0xff, 0xff, 0x05, // chunk of 6, fewer than any
+		0x78, 0x56, 0x34, 0x12, 0x06, // tier's lanes
+	}, uint32(99))
 
 	f.Fuzz(func(t *testing.T, data []byte, seed uint32) {
 		if seed == 0 {
 			seed = 1 // the xorshift chain is seeded odd in production
 		}
 		var segs []testSeg
-		var total uint64
-		// Each 5-byte group is one segment: 4 bytes of threshold, 1 byte
-		// scaled into a draw run of 1..4096.
+		// Each 5-byte group is one segment: 4 bytes of threshold, and a
+		// byte b giving a run of 1 + b²/16 draws, 1..4065, finely
+		// graded where runs are short.
 		for i := 0; i+5 <= len(data) && len(segs) < 64; i += 5 {
-			g := testSeg{thr: binary.LittleEndian.Uint32(data[i:]), draws: uint32(data[i+4])*16 + 1}
-			segs = append(segs, g)
-			total += uint64(g.draws)
+			b := uint32(data[i+4])
+			segs = append(segs, testSeg{thr: binary.LittleEndian.Uint32(data[i:]), draws: 1 + b*b/16})
 		}
 		if len(segs) == 0 {
 			segs = append(segs, testSeg{thr: seed, draws: 1})
-			total = 1
-		}
-		if total < laneMinDraws {
-			segs[len(segs)-1].draws += uint32(laneMinDraws - total)
 		}
 		checkChunkWalks(t, "fuzz", segs, seed)
 	})
