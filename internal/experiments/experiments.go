@@ -328,29 +328,26 @@ type Fig4Point struct {
 }
 
 // Fig4 compares the macro-model and reference energies across the four
-// Reed-Solomon configurations; the paper's claim is relative accuracy —
-// the two profiles track each other.
+// Reed-Solomon configurations, priced by compareApps as Table II's
+// applications are; the paper's claim is relative accuracy — the two
+// profiles track each other.
 func (s *Suite) Fig4() ([]Fig4Point, error) {
 	cr, err := s.Characterization()
 	if err != nil {
 		return nil, err
 	}
-	var out []Fig4Point
-	for _, w := range workloads.ReedSolomonConfigurations() {
-		est, err := cr.Model.EstimateWorkload(s.Config, w)
-		if err != nil {
-			return nil, err
+	rows, obs, err := s.compareApps(cr, workloads.ReedSolomonConfigurations())
+	if err != nil {
+		return nil, err
+	}
+	out := make([]Fig4Point, len(rows))
+	for i, r := range rows {
+		out[i] = Fig4Point{
+			Choice:      r.Application,
+			EstimateUJ:  r.EstimateUJ,
+			ReferenceUJ: r.ReferenceUJ,
+			Cycles:      obs[i].cycles,
 		}
-		ref, err := core.ReferenceEnergy(s.context(), s.Config, s.Tech, w)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, Fig4Point{
-			Choice:      w.Name,
-			EstimateUJ:  est.EnergyUJ(),
-			ReferenceUJ: ref.EnergyUJ(),
-			Cycles:      est.Cycles,
-		})
 	}
 	return out, nil
 }
