@@ -38,17 +38,17 @@ var (
 	buildErr  error
 )
 
-// builtCommands builds ./cmd/... once per test binary and returns the
-// directory that holds the commands. Tests that check exit statuses
-// need it: go run flattens exit codes.
+// builtCommands builds ./cmd/... and ./examples/... once per test
+// binary and returns the directory that holds the binaries. Tests that
+// check exit statuses need it: go run flattens exit codes.
 func builtCommands(t *testing.T) string {
 	t.Helper()
 	buildOnce.Do(func() {
 		if buildDir, buildErr = os.MkdirTemp("", "xtenergy-cmd-"); buildErr != nil {
 			return
 		}
-		if out, err := exec.Command("go", "build", "-o", buildDir+string(filepath.Separator), "./cmd/...").CombinedOutput(); err != nil {
-			buildErr = fmt.Errorf("go build ./cmd/...: %v\n%s", err, out)
+		if out, err := exec.Command("go", "build", "-o", buildDir+string(filepath.Separator), "./cmd/...", "./examples/...").CombinedOutput(); err != nil {
+			buildErr = fmt.Errorf("go build ./cmd/... ./examples/...: %v\n%s", err, out)
 		}
 	})
 	if buildErr != nil {

@@ -49,8 +49,8 @@ loop:
 
 // outputRows lists the pinned invocations: xsim's trace, -vars and
 // -json modes, xlint's four report modes, xpower's uncached reference
-// report at both details and xprofile over the whole registry, and the
-// edge rows around them.
+// report at both details and xprofile over the whole registry, the
+// edge rows around them, and the four examples.
 func outputRows() [][]string {
 	var rows [][]string
 	names := workloads.Names()
@@ -94,6 +94,11 @@ func outputRows() [][]string {
 		[]string{"xprofile", "-fast", "-top", "1000", "-w", "rs_base"},
 		[]string{"xprofile", "-fast", "-top", "0", "-w", "gcd"},
 		[]string{"xprofile", "-fast", "-w", "nosuch"})
+	rows = append(rows,
+		[]string{"customalu"},
+		[]string{"designspace"},
+		[]string{"loopoption"},
+		[]string{"quickstart"})
 	return rows
 }
 
@@ -120,8 +125,13 @@ func TestOutputGoldens(t *testing.T) {
 		if err := cmd.Run(); err != nil && !errors.As(err, &exit) {
 			t.Fatalf("%v: %v", args, err)
 		}
+		out := stdout.Bytes()
+		if args[0] == "designspace" {
+			// Its last line is a wall-clock timing.
+			out = out[:bytes.LastIndexByte(bytes.TrimSuffix(out, []byte("\n")), '\n')+1]
+		}
 		got[strings.Join(args, " ")] = outputGolden{
-			Stdout: digest(stdout.Bytes()),
+			Stdout: digest(out),
 			Stderr: digest(stderr.Bytes()),
 			Status: cmd.ProcessState.ExitCode(),
 		}
