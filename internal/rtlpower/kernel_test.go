@@ -9,6 +9,9 @@ import (
 	"xtenergy/internal/procgen"
 )
 
+// TestKernelWidth pins each tier's lane count, and requires every tier
+// this host runs to have a walker in the walkers table and to fit the
+// shared argument block.
 func TestKernelWidth(t *testing.T) {
 	widths := map[Kernel]int{
 		KernelPortable: 8, KernelAVX2: 16, KernelAVX512: 64,
@@ -16,6 +19,14 @@ func TestKernelWidth(t *testing.T) {
 	for k, want := range widths {
 		if got := k.width(); got != want {
 			t.Errorf("%s.width() = %d, want %d", k, got, want)
+		}
+	}
+	for _, k := range SupportedKernels() {
+		if walkers[k] == nil {
+			t.Errorf("%s has no walker", k)
+		}
+		if k.width() > maxWalkLanes {
+			t.Errorf("%s walks %d lanes, more than the block's %d", k, k.width(), maxWalkLanes)
 		}
 	}
 }

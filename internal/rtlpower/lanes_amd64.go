@@ -9,7 +9,7 @@ package rtlpower
 // dispatch ladder guarantees this via SupportedKernels.
 //
 //go:noescape
-func countStripes16AVX2(w *walk16)
+func countStripes16AVX2(w *walkArgs)
 
 // countStripes64AVX512 is the 64-lane AVX-512 tier (lanes64_amd64.s):
 // four 16-wide ZMM vectors advanced together on one round clock,
@@ -18,9 +18,4 @@ func countStripes16AVX2(w *walk16)
 // (cpufeat.AVX512).
 //
 //go:noescape
-func countStripes64AVX512(w *walk64)
-
-// countStripes16 and countStripes64 run the wide walks; on amd64 the
-// dispatch ladder only selects them on feature-checked hosts.
-func countStripes16(w *walk16) { countStripes16AVX2(w) }
-func countStripes64(w *walk64) { countStripes64AVX512(w) }
+func countStripes64AVX512(w *walkArgs)

@@ -98,7 +98,8 @@ func TestRingHandOff(t *testing.T) {
 }
 
 // TestRingWalkedSlotNotWalkedAgain breaks the schedule of the slot the
-// simulator's side walked, after that walk: a second walk would index
+// simulator's side walked, after that walk: a second walk would clear
+// its counts and, its lane windows consumed, count nothing, or index
 // past its records and panic, so the consumer's side must fold the
 // slot as it came.
 func TestRingWalkedSlotNotWalkedAgain(t *testing.T) {
