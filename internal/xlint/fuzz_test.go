@@ -19,11 +19,12 @@ import (
 // uninitialized-read shapes the analysis has to catch.
 //
 // picks names the instructions to delete: its top two bits count one
-// to four deletions, and its 6-bit fields, lowest first, give their
-// instruction indices. A few deletions leave about half the programs
-// clean, so most inputs reach the ISS; deleting many at once would
-// have xlint flag nearly every program and end the input before the
-// run.
+// to four deletions, and its 15-bit fields, lowest first, give their
+// instruction indices modulo the program's length, so a deletion can
+// land anywhere in the program. A few deletions leave about half the
+// programs clean, so most inputs reach the ISS; deleting many at once
+// would have xlint flag nearly every program and end the input before
+// the run.
 //
 // The converse direction is intentionally unchecked: a maybe-uninit
 // warning on a path the concrete input never takes is a correct
@@ -33,14 +34,14 @@ func FuzzUninitDifferential(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(int64(1), uint64(0))                     // the scratch base movi gone
-	f.Add(int64(2), uint64(1<<62|40<<6|8))         // a15's movi and instruction 40 gone
-	f.Add(int64(3), uint64(2<<62|45<<12|29<<6|52)) // instructions 52, 29 and 45 gone
-	f.Add(int64(-9), uint64(1<<62|30<<6|17))       // instructions 17 and 30 gone
+	f.Add(int64(1), uint64(0))                      // the scratch base movi gone
+	f.Add(int64(2), uint64(1<<62|40<<15|8))         // a15's movi and instruction 40 gone
+	f.Add(int64(3), uint64(2<<62|45<<30|29<<15|52)) // instructions 52, 29 and 45 gone
+	f.Add(int64(-9), uint64(1<<62|30<<15|17))       // instructions 17 and 30 gone
 	f.Fuzz(func(t *testing.T, seed int64, picks uint64) {
 		prog := randprog.Generate(seed, randprog.Options{AllowLoops: true})
 		for k := 0; k <= int(picks>>62); k++ {
-			if i := int(picks >> (6 * k) & 63); i < len(prog.Code) && prog.Code[i].Op != isa.OpRET {
+			if i := int(picks>>(15*k)&(1<<15-1)) % len(prog.Code); prog.Code[i].Op != isa.OpRET {
 				prog.Code[i] = isa.Instr{Op: isa.OpNOP}
 			}
 		}
