@@ -127,3 +127,60 @@ func TestDaemonNoCacheBypassesStore(t *testing.T) {
 		t.Fatalf("no_cache touched the store: %+v -> %+v", before, after)
 	}
 }
+
+// TestConcurrentRegistryRequestsByteIdentical sends estimate, lint and
+// simulate requests on one registry workload at once, each with
+// no_cache, so that every one runs its pipeline over the workload the
+// registry's name index hands every request. Under -race this shows
+// that no request writes that shared workload, and each answer must
+// equal the same request's serial answer byte for byte.
+func TestConcurrentRegistryRequestsByteIdentical(t *testing.T) {
+	const copies = 3
+	reqs := []*xpowerd.Request{
+		{Op: xpowerd.OpEstimate, Workload: "des", Fast: true, NoCache: true},
+		{Op: xpowerd.OpLint, Workload: "des", Notes: true, NoCache: true},
+		{Op: xpowerd.OpSimulate, Workload: "des", Vars: true, NoCache: true},
+	}
+	addr, _ := startServer(t, func(cfg *xpowerd.Config) {
+		cfg.Workers = len(reqs) * copies
+		cfg.QueueDepth = len(reqs) * copies
+	})
+
+	client := dialClient(t, addr)
+	serial := make([]*xpowerd.Response, len(reqs))
+	for i, req := range reqs {
+		resp, err := client.Do(context.Background(), req)
+		if err != nil {
+			t.Fatalf("serial %s: %v", req.Op, err)
+		}
+		serial[i] = resp
+	}
+
+	var wg sync.WaitGroup
+	got := make([]*xpowerd.Response, len(reqs)*copies)
+	errs := make([]error, len(got))
+	for k := range got {
+		wg.Add(1)
+		go func(k int) {
+			defer wg.Done()
+			c, err := xpowerd.Dial(addr, 5*time.Second)
+			if err != nil {
+				errs[k] = err
+				return
+			}
+			defer c.Close()
+			got[k], errs[k] = c.Do(context.Background(), reqs[k%len(reqs)])
+		}(k)
+	}
+	wg.Wait()
+	for k, resp := range got {
+		want := serial[k%len(reqs)]
+		switch {
+		case errs[k] != nil:
+			t.Fatalf("concurrent %s: %v", reqs[k%len(reqs)].Op, errs[k])
+		case resp.Status != want.Status || resp.Output != want.Output:
+			t.Fatalf("concurrent %s (status %d) differs from its serial answer (status %d):\n%s\nvs\n%s",
+				reqs[k%len(reqs)].Op, resp.Status, want.Status, resp.Output, want.Output)
+		}
+	}
+}
