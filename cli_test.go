@@ -194,22 +194,6 @@ func TestCLIXlint(t *testing.T) {
 	}
 }
 
-func TestExamplesRun(t *testing.T) {
-	if testing.Short() {
-		t.Skip("examples are slow")
-	}
-	out := runCLI(t, "./examples/quickstart")
-	for _, want := range []string{"macro-model estimate:", "RTL-level reference:", "error:"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("quickstart missing %q:\n%s", want, out)
-		}
-	}
-	out = runCLI(t, "./examples/loopoption")
-	if !strings.Contains(out, "zero-overhead loop option:") {
-		t.Fatalf("loopoption output:\n%s", out)
-	}
-}
-
 // runTool runs one built command in dir ("" for the current one) and
 // returns its exit status and stderr.
 func runTool(t *testing.T, bin, dir string, args ...string) (int, string) {
