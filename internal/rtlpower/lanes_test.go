@@ -343,3 +343,66 @@ func TestCountChunkLanesAtDrawCap(t *testing.T) {
 	}
 	checkChunkWalks(t, "draw cap", segs, rng.Uint32()|1)
 }
+
+// exhaustWalk lays out a walk of lanes lanes for
+// TestWalkersOutlastExhaustedLanes. Lane long walks 2^22 draws in one
+// record (no lane does when long is -1), lane long+1 has no records,
+// and every other lane j drains after j+1 draws, in one record or, for
+// odd j, two. It returns the walk and its longest lane's draws.
+func exhaustWalk(lanes, long int) (*walkArgs, uint64) {
+	w := &walkArgs{counts: make([]uint32, 2)}
+	var most uint64
+	for j := 0; j < lanes; j++ {
+		w.off[j], w.st[j] = uint32(len(w.recs)), uint32(2*j+1)
+		switch {
+		case j == long:
+			w.recs = append(w.recs, laneRec{thr: 0x9E3779B9, rem: 1 << 22})
+		case j == (long+1)%lanes:
+			continue
+		case j%2 == 1:
+			w.recs = append(w.recs, laneRec{thr: 0x40000000, rem: 1, slot: 1})
+			w.recs = append(w.recs, laneRec{thr: 0xC0000000, rem: uint32(j), slot: 1})
+		default:
+			w.recs = append(w.recs, laneRec{thr: 0x80000000, rem: uint32(j + 1), slot: 1})
+		}
+		w.cnt[j] = uint32(len(w.recs)) - w.off[j]
+		var n uint64
+		for _, r := range w.recs[w.off[j]:] {
+			n += uint64(r.rem)
+		}
+		most = max(most, n)
+	}
+	return w, most
+}
+
+// TestWalkersOutlastExhaustedLanes walks one lane of 2^22 draws beside
+// lanes that drain after a few draws, and one lane that has none, with
+// the long lane first, in the middle and last, on every supported
+// tier's walker. The short lanes idle on their exhausted-lane sentinel
+// while the long lane walks on, so a sentinel that decays within 2^22
+// draws makes an exhausted lane look live again. Their lengths differ,
+// so such sentinels would come due one at a time. A fourth walk has no
+// long lane. The counts must match the scalar oracle, and every exit
+// state must be its start advanced by the longest lane's draws: an
+// idle lane walks until the longest lane drains, and no further. The
+// sentinels' full margin, a live lane 2^30 draws (maxChunkDraws)
+// longer than an exhausted one, stays untested.
+func TestWalkersOutlastExhaustedLanes(t *testing.T) {
+	for _, k := range SupportedKernels() {
+		lanes := k.width()
+		for _, long := range []int{-1, 0, lanes / 2, lanes - 1} {
+			w, most := exhaustWalk(lanes, long)
+			label := fmt.Sprintf("%s walker, long lane %d", k, long)
+			want := walkedCounts(w, func(w *walkArgs) { wideOracle(w, lanes) })
+			got := *w
+			got.counts = make([]uint32, len(w.counts))
+			walkers[k](&got)
+			compareCounts(t, label, 0, want, got.counts)
+			for j := 0; j < lanes; j++ {
+				if st := JumpAhead(w.st[j], most); got.st[j] != st {
+					t.Fatalf("%s: lane %d exit state %#x, want %#x (its start after %d draws)", label, j, got.st[j], st, most)
+				}
+			}
+		}
+	}
+}

@@ -38,6 +38,9 @@ func FuzzUninitDifferential(f *testing.F) {
 	f.Add(int64(2), uint64(1<<62|40<<15|8))         // a15's movi and instruction 40 gone
 	f.Add(int64(3), uint64(2<<62|45<<30|29<<15|52)) // instructions 52, 29 and 45 gone
 	f.Add(int64(-9), uint64(1<<62|30<<15|17))       // instructions 17 and 30 gone
+	// Instruction 79 of 169, the third loop's movi a3, gone: a3 keeps
+	// the second loop's final 0, so the loop runs until the watchdog.
+	f.Add(int64(1), uint64(79))
 	f.Fuzz(func(t *testing.T, seed int64, picks uint64) {
 		prog := randprog.Generate(seed, randprog.Options{AllowLoops: true})
 		for k := 0; k <= int(picks>>62); k++ {
